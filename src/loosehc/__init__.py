@@ -18,6 +18,7 @@ from .hypergraph import (
     Hypergraph,
     InvalidInput,
     Parameters,
+    PipelineConfig,
     degree,
     induced,
     min_j_degree,

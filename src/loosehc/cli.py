@@ -33,6 +33,7 @@ from .hypergraph import (
     Hypergraph,
     InvalidInput,
     Parameters,
+    PipelineConfig,
     format_hypergraph,
     parse_hypergraph,
 )
@@ -58,19 +59,18 @@ from .splitting import (
     search_quota_rerouting,
     validate_splitting,
 )
-from .switchbuild import (
-    PipelineConfig,
-    SwitchBuildConfig,
-    build_feasible_switching,
-    sample_switching,
-)
-from .tiling import TilingConfig, TilingInfeasible, TilingRequest, build_path_tiling, validate_path_tiling
+from .switchbuild import build_feasible_switching, sample_switching
+from .tiling import TilingInfeasible, TilingRequest, build_path_tiling, validate_path_tiling
 from . import constructions
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
+
+# Parameters.mu and .gamma: flags on the parameter subcommands, fixed for tile.
+DEFAULT_MU = 0.05
+DEFAULT_GAMMA = 0.01
 
 
 def emit(record: dict) -> None:
@@ -145,8 +145,8 @@ def _add_parameter_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, help="splitting size (checked against t, mtilde)")
     p.add_argument("--j", type=int, default=1, help="degree type")
     p.add_argument("--epsilon", type=float, default=0.2)
-    p.add_argument("--mu", type=float, default=0.05)
-    p.add_argument("--gamma", type=float, default=0.01)
+    p.add_argument("--mu", type=float, default=DEFAULT_MU)
+    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--threshold", type=float, default=0.0,
                    help="stand-in for the degree threshold constant")
@@ -261,13 +261,17 @@ def cmd_tile(args) -> int:
     pairs = tuple(tuple(sorted(p)) for p in _load_pairs(args.pairs))
     conflicts = PairGraph.from_pairs(_load_pairs(args.conflicts)) if args.conflicts else PairGraph.empty()
     request = TilingRequest(g, pairs, conflicts, args.t)
-    cfg = TilingConfig(
+    params = Parameters(
+        k=g.k, j=args.j, path_len=args.t, pairs_per_part=len(pairs),
+        epsilon=args.epsilon, mu=DEFAULT_MU, gamma=DEFAULT_GAMMA, beta=args.beta,
+        threshold=args.threshold,
+    )
+    config = PipelineConfig(
         seed=args.seed, claim_budget=args.claim_budget,
-        structural=None if not args.strict else False,
-        epsilon=args.epsilon, threshold=args.threshold, j=args.j, beta=args.beta,
+        structural=False if args.strict else None,
     )
     try:
-        tiling = build_path_tiling(request, cfg)
+        tiling = build_path_tiling(request, params, config)
     except TilingInfeasible as exc:
         emit({"type": "tiling", "status": "infeasible", "stage": exc.stage,
               "detail": exc.detail})
@@ -331,8 +335,8 @@ def cmd_switch(args) -> int:
             return EXIT_NEGATIVE
         try:
             result = build_feasible_switching(
-                cycle, anchor, checked, partition, rerouting, g, chi,
-                SwitchBuildConfig(seed=args.seed, suitability_verified=False),
+                cycle, anchor, checked, partition, rerouting, g, chi, params,
+                PipelineConfig(seed=args.seed),
             )
         except TilingInfeasible as exc:
             emit({"type": "switching", "status": "infeasible", "stage": exc.stage})
@@ -463,7 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="uniformity (checked against the file)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--claim-budget", type=int, default=1000)
-    p.add_argument("--strict", action="store_true")
+    p.add_argument("--strict", action="store_true",
+                   help="enforce the verbatim claim-partition conditions "
+                        "(default: only on graphs with 50 or more vertices)")
     p.add_argument("--j", type=int, default=1)
     p.add_argument("--epsilon", type=float, default=0.2)
     p.add_argument("--beta", type=float, default=0.5)
@@ -520,10 +526,10 @@ def main(argv=None) -> int:
         code = args.handler(args)
     except (FormatError, InvalidInput, FileNotFoundError) as exc:
         human(f"error: {exc}")
-        return EXIT_INVALID
+        code = EXIT_INVALID
     except BudgetExhausted as exc:
         human(f"budget exhausted: {exc}")
-        return EXIT_BUDGET
+        code = EXIT_BUDGET
     manifest = {
         "command": args.command,
         "argv": sys.argv[1:] if argv is None else list(argv),

@@ -193,6 +193,31 @@ class Parameters:
         return self.part_count * self.split_size
 
 
+@dataclass(frozen=True)
+class PipelineConfig:
+    """Seed, budgets and mode of one run of the switching pipeline.
+
+    Each search step, each build and each part's tiling runs on a copy
+    with a child seed: dataclasses.replace(config, seed=...).
+    """
+
+    seed: int = 0
+    sample_budget: int = 2000    # splittings sampled per switching
+    partition_budget: int = 500  # transverse partitions drawn per attempt
+    partition_tries: int = 20    # partition/dicycle/build attempts per splitting
+    claim_budget: int = 1000     # claim partitions drawn per tiling
+    structural: bool | None = None  # None: decided by is_structural
+    require_events: bool = False    # strict acceptance through the event gate
+
+    def is_structural(self, g: Hypergraph) -> bool:
+        """Structural mode gates on the constructions' shape alone and
+        relaxes the asymptotic conditions; unless set explicitly it holds on
+        graphs with fewer than 50 vertices.  Callers pass the graph the gate
+        reads: the host for the partition gate, the part's induced graph for
+        each part's tiling."""
+        return self.structural if self.structural is not None else g.n < 50
+
+
 class FormatError(InvalidInput):
     """A text input violated its format; carries a 1-based line number."""
 

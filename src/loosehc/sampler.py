@@ -28,6 +28,7 @@ from .splitting import (
     is_suitable,
     is_viable,
     partition_is_transverse,
+    paths_in_cyclic_order,
     validate_rerouting,
     validate_splitting,
 )
@@ -401,8 +402,6 @@ def build_aux_digraph(
     """Arc i -> i' iff the exit of path i and the exit of path i'-1 live in
     different parts.  (i -> i+1 never appears: that compares an exit with
     itself.)"""
-    from .splitting import paths_in_cyclic_order
-
     if not paths_in_cyclic_order(splitting):
         raise InvalidInput("paths must be indexed in cyclic order around the host")
     m = splitting.size
@@ -415,11 +414,6 @@ def build_aux_digraph(
         if i != ip and part_of[exits[i]] != part_of[exits[(ip - 1) % m]]
     ]
     return Digraph.from_arcs(m, arcs)
-
-
-def find_dicycle(d: Digraph) -> tuple[int, ...] | None:
-    """Exact Hamilton dicycle search (shared backtracking engine)."""
-    return find_hamilton_dicycle(d)
 
 
 def build_viable_partition(
@@ -435,8 +429,6 @@ def build_viable_partition(
     unique vertex of path i sitting in the pair's target part, so every
     pair ends up inside one part, exactly quota-many per part.
     """
-    from .splitting import paths_in_cyclic_order
-
     m = splitting.size
     if sorted(dicycle) != list(range(m)):
         raise InvalidInput("dicycle must span all path indices")
@@ -532,7 +524,7 @@ def _estimate_trial(args) -> dict:
             record["partition"] = "budget-exhausted"
             return record
         digraph = build_aux_digraph(drawn.partition, outcome.splitting)
-        dicycle = find_dicycle(digraph)
+        dicycle = find_hamilton_dicycle(digraph)
         if dicycle is None:
             record["partition"] = "no-dicycle"
             return record

@@ -10,15 +10,15 @@ search is a heuristic: exhausting the step budget is a report, not an
 error.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .colouring import Colouring, is_rainbow
 from .cycles import LooseCycle, increasing_path, validate_loose_cycle
-from .hypergraph import Hypergraph, InvalidInput, Parameters
+from .hypergraph import Hypergraph, InvalidInput, Parameters, PipelineConfig
 from .oracles import uniform_random_hamilton_cycle
 from .rng import child_seed
 from .splitting import is_feasible, is_switching
-from .switchbuild import PipelineConfig, sample_switching
+from .switchbuild import sample_switching
 
 
 @dataclass(frozen=True)
@@ -132,15 +132,7 @@ def find_rainbow_hamilton_cycle(
         anchor = increasing_path(
             cycle, cycle.edge_sequence[target.anchor_start], params.path_len
         )
-        cfg = PipelineConfig(
-            seed=child_seed(seed, "search-step", step),
-            sample_budget=base_pipeline.sample_budget,
-            partition_budget=base_pipeline.partition_budget,
-            partition_tries=base_pipeline.partition_tries,
-            claim_budget=base_pipeline.claim_budget,
-            structural=base_pipeline.structural,
-            require_events=base_pipeline.require_events,
-        )
+        cfg = replace(base_pipeline, seed=child_seed(seed, "search-step", step))
         built = None
         if g.n >= params.split_size * (params.path_len + 1) * (g.k - 1):
             built = sample_switching(g, chi, cycle, anchor, params, cfg)

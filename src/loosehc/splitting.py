@@ -12,7 +12,7 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .colouring import Colouring, is_rainbow, shares_colour
-from .cycles import LooseCycle, LoosePath, Violation
+from .cycles import LooseCycle, LoosePath, Violation, entry_exit, subpath_run
 from .graphs import Digraph
 from .hypergraph import Hypergraph, InvalidInput, edges_within, min_j_degree_within
 from .oracles import find_hamilton_dicycle
@@ -490,8 +490,6 @@ def is_suitable(
 
 def entry_exit_by_path(splitting: Splitting) -> tuple[list[int], list[int]]:
     """Endpoint labels per path, in the host's traversal orientation."""
-    from .cycles import entry_exit
-
     entries, exits = [], []
     for p in splitting.paths:
         a, b = entry_exit(splitting.host, p)
@@ -503,8 +501,6 @@ def entry_exit_by_path(splitting: Splitting) -> tuple[list[int], list[int]]:
 def paths_in_cyclic_order(splitting: Splitting) -> bool:
     """True iff path indices follow the host's cyclic order (so that the
     untouched stretch after path i ends at path i+1)."""
-    from .cycles import subpath_run
-
     runs = [subpath_run(splitting.host, p) for p in splitting.paths]
     if any(r is None for r in runs):
         return False

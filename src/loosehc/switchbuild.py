@@ -13,19 +13,19 @@ re-check the result through the predicate module; nothing is trusted from
 construction.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .colouring import Colouring, is_rainbow, shares_colour
 from .cycles import LooseCycle, LoosePath, Violation, validate_loose_cycle
 from .graphs import PairGraph
-from .hypergraph import Hypergraph, InvalidInput, Parameters, edges_within
+from .hypergraph import Hypergraph, InvalidInput, Parameters, PipelineConfig, edges_within
+from .oracles import find_hamilton_dicycle
 from .rng import child_seed
 from .sampler import (
     BudgetExhausted,
     accept_suitable,
     build_aux_digraph,
     build_viable_partition,
-    find_dicycle,
     sample_splitting,
     sample_transverse_partition,
 )
@@ -41,19 +41,7 @@ from .splitting import (
     partition_is_transverse,
     validate_splitting,
 )
-from .tiling import TilingConfig, TilingInfeasible, TilingRequest, build_path_tiling, validate_path_tiling
-
-
-@dataclass
-class SwitchBuildConfig:
-    seed: int = 0
-    structural: bool | None = None
-    claim_budget: int = 1000
-    epsilon: float = 0.2
-    threshold: float = 0.0
-    j: int = 1
-    beta: float = 0.5
-    suitability_verified: bool = False
+from .tiling import TilingInfeasible, TilingRequest, build_path_tiling, validate_path_tiling
 
 
 @dataclass
@@ -170,17 +158,19 @@ def build_feasible_switching(
     rerouting: Rerouting,
     g: Hypergraph,
     chi: Colouring,
-    config: SwitchBuildConfig | None = None,
+    params: Parameters,
+    config: PipelineConfig | None = None,
 ) -> SwitchBuildResult:
     """Construct the new cycle and its bounded splitting from a splitting,
     a viable partition and a rerouting with the per-part pair quota.
 
     The anchor must be the splitting's first path.  Per-part tilings use
     deterministic child seeds of config.seed, so the build is reproducible.
-    Raises TilingInfeasible (naming "part-h:stage") if any part cannot be
-    tiled.
+    With config.require_events the splitting is known to be suitable, and
+    the feasibility it promises is asserted.  Raises TilingInfeasible
+    (naming "part-h:stage") if any part cannot be tiled.
     """
-    config = config or SwitchBuildConfig()
+    config = config or PipelineConfig()
     if splitting.index_of(anchor) != 0:
         raise InvalidInput("the anchor must be the splitting's path 0")
     if not partition_is_transverse(splitting, partition):
@@ -227,17 +217,11 @@ def build_feasible_switching(
             ),
             t,
         )
-        cfg = TilingConfig(
-            seed=child_seed(config.seed, "part-tiling", h),
-            claim_budget=config.claim_budget,
-            structural=config.structural,
-            epsilon=config.epsilon,
-            threshold=config.threshold,
-            j=config.j,
-            beta=config.beta,
-        )
         try:
-            tiling = build_path_tiling(request, cfg)
+            tiling = build_path_tiling(
+                request, params,
+                replace(config, seed=child_seed(config.seed, "part-tiling", h)),
+            )
         except TilingInfeasible as exc:
             raise TilingInfeasible(f"part-{h}:{exc.stage}", exc.detail) from exc
         report = validate_path_tiling(request, tiling)
@@ -259,7 +243,7 @@ def build_feasible_switching(
         trimmed.append(edges_here)
 
     union_rainbow = is_rainbow(chi, [e for bucket in trimmed for e in bucket])
-    if config.suitability_verified:
+    if config.require_events:
         assert cross_ok, "suitable splittings never share colours across parts"
         assert union_rainbow, "suitable splittings keep the fresh edges rainbow"
 
@@ -276,27 +260,11 @@ def build_feasible_switching(
     assert new_cycle.edges_avoiding(new_split.interiors) and \
         sorted(new_cycle.edges_avoiding(new_split.interiors)) == sorted(untouched)
     feasibility = is_feasible(switching, chi)
-    if config.suitability_verified:
+    if config.require_events:
         assert feasibility.ok, f"suitability promised feasibility: {feasibility}"
     return SwitchBuildResult(
         switching, switching_report, feasibility, cross_ok, union_rainbow
     )
-
-
-@dataclass
-class PipelineConfig:
-    """Budgets and flags for the end-to-end sampled pipeline."""
-
-    seed: int = 0
-    sample_budget: int = 2000
-    partition_budget: int = 500
-    partition_tries: int = 20
-    claim_budget: int = 1000
-    structural: bool | None = None   # None: decided by host size (< 50)
-    require_events: bool = False     # strict acceptance through the event gate
-
-    def is_structural(self, g: Hypergraph) -> bool:
-        return self.structural if self.structural is not None else g.n < 50
 
 
 def sample_switching(
@@ -346,7 +314,7 @@ def sample_switching(
                 )
             except BudgetExhausted:
                 break
-            dicycle = find_dicycle(build_aux_digraph(drawn.partition, splitting))
+            dicycle = find_hamilton_dicycle(build_aux_digraph(drawn.partition, splitting))
             if dicycle is None:
                 continue
             swapped, rerouting = build_viable_partition(
@@ -354,17 +322,8 @@ def sample_switching(
             )
             try:
                 built = build_feasible_switching(
-                    host, anchor, splitting, swapped, rerouting, g, chi,
-                    SwitchBuildConfig(
-                        seed=child_seed(config.seed, "pipeline-build", trial),
-                        structural=config.structural,
-                        claim_budget=config.claim_budget,
-                        epsilon=params.epsilon,
-                        threshold=params.threshold,
-                        j=params.j,
-                        beta=params.beta,
-                        suitability_verified=config.require_events,
-                    ),
+                    host, anchor, splitting, swapped, rerouting, g, chi, params,
+                    replace(config, seed=child_seed(config.seed, "pipeline-build", trial)),
                 )
             except TilingInfeasible:
                 continue

@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .cycles import LoosePath
 from .graphs import PairGraph
-from .hypergraph import Hypergraph, InvalidInput, induced, relative_degree
+from .hypergraph import Hypergraph, InvalidInput, Parameters, PipelineConfig, induced, relative_degree
 from .oracles import find_loose_hamilton_path
 from .rng import stream
 from .splitting import CheckReport
@@ -47,6 +47,8 @@ class TilingRequest:
         n, k = self.graph.n, self.graph.k
         if self.path_len < 1:
             raise InvalidInput("path length must be >= 1")
+        if not self.pairs:
+            raise InvalidInput("need at least one endpoint pair")
         seen: set[int] = set()
         for pair in self.pairs:
             if len(pair) != 2 or pair[0] == pair[1]:
@@ -79,20 +81,6 @@ class TilingRequest:
 class PathTiling:
     paths: tuple[LoosePath, ...]
     parts: tuple[frozenset[int], ...]
-
-
-@dataclass(frozen=True)
-class TilingConfig:
-    seed: int = 0
-    claim_budget: int = 1000
-    structural: bool | None = None  # None: structural mode iff n < 50
-    epsilon: float = 0.2
-    threshold: float = 0.0
-    j: int = 1
-    beta: float = 0.5
-
-    def is_structural(self, g: Hypergraph) -> bool:
-        return self.structural if self.structural is not None else g.n < 50
 
 
 def choose_reservoirs(req: TilingRequest) -> tuple[tuple[int, ...], ...]:
@@ -191,7 +179,8 @@ class ClaimStats:
 def sample_claim_partition(
     req: TilingRequest,
     reservoirs,
-    cfg: TilingConfig,
+    params: Parameters,
+    config: PipelineConfig,
     start_attempt: int = 0,
 ) -> tuple[list[set[int]], ClaimStats]:
     """Uniform independent assignment of the free vertices into one block
@@ -215,10 +204,10 @@ def sample_claim_partition(
     free = sorted(
         set(range(g.n)) - req.pair_vertices - {v for w in reservoirs for v in w}
     )
-    structural = cfg.is_structural(g)
+    structural = config.is_structural(g)
     centre = (t - 1) * (k - 1)
-    low = centre - cfg.beta * t
-    high = centre + cfg.beta * t
+    low = centre - params.beta * t
+    high = centre + params.beta * t
     if structural:
         mean = centre + (k - 2) / mt
         low = min(low, math.floor(mean))
@@ -232,13 +221,13 @@ def sample_claim_partition(
         # nothing to assign) the partition is unique and the gate is
         # pointless.
         prefix = 0 if mt == 1 or not free else 100
-        goodness_gate_until = min(prefix, cfg.claim_budget)
+        goodness_gate_until = min(prefix, config.claim_budget)
     else:
-        goodness_gate_until = cfg.claim_budget
+        goodness_gate_until = config.claim_budget
 
-    for attempt in range(start_attempt, cfg.claim_budget):
+    for attempt in range(start_attempt, config.claim_budget):
         stats.attempts = attempt + 1
-        gen = stream(cfg.seed, "claim-partition", attempt)
+        gen = stream(config.seed, "claim-partition", attempt)
         assignment = gen.integers(mt, size=len(free))
         parts: list[set[int]] = [set() for _ in range(mt)]
         for v, p in zip(free, assignment):
@@ -265,8 +254,10 @@ def sample_claim_partition(
             degree_ok = True
             for p in range(mt):
                 plus = _block_plus(req, reservoirs, parts, p)
-                bound = (cfg.threshold + 3 * cfg.epsilon / 16) * len(plus) ** (k - cfg.j)
-                for s in combinations(free, cfg.j):
+                bound = (
+                    (params.threshold + 3 * params.epsilon / 16) * len(plus) ** (k - params.j)
+                )
+                for s in combinations(free, params.j):
                     if relative_degree(g, s, plus) < bound:
                         degree_ok = False
                         break
@@ -279,7 +270,7 @@ def sample_claim_partition(
 
     raise TilingInfeasible(
         "claim-partition",
-        f"no acceptable partition in {cfg.claim_budget} attempts "
+        f"no acceptable partition in {config.claim_budget} attempts "
         f"(failures: {stats.failures})",
     )
 
@@ -373,15 +364,18 @@ def fix_divisibility(req: TilingRequest, reservoirs, parts) -> list[frozenset[in
     return finals
 
 
-def build_path_tiling(req: TilingRequest, cfg: TilingConfig | None = None) -> PathTiling:
+def build_path_tiling(
+    req: TilingRequest, params: Parameters, config: PipelineConfig | None = None
+) -> PathTiling:
     """Run the full pipeline and spell every block into a loose path.
 
     The spanning path inside each block is found by the exhaustive
     backtracking oracle, constrained to avoid every hyperedge containing a
     conflict pair.  Any stage that cannot complete raises TilingInfeasible
-    naming the stage.
+    naming the stage.  Of the parameters only epsilon, beta, threshold and
+    j are read; the path length and pair count come from the request.
     """
-    cfg = cfg or TilingConfig()
+    config = config or PipelineConfig()
     g, k = req.graph, req.graph.k
     mt = req.pair_count
     if k > 2 and g.n % (k - 1) != mt % (k - 1):
@@ -400,8 +394,10 @@ def build_path_tiling(req: TilingRequest, cfg: TilingConfig | None = None) -> Pa
     oracle_retries = 0
     last_exc: TilingInfeasible | None = None
     seen: set[frozenset[frozenset[int]]] = set()
-    while start < cfg.claim_budget and oracle_retries < 25:
-        parts, stats = sample_claim_partition(req, reservoirs, cfg, start_attempt=start)
+    while start < config.claim_budget and oracle_retries < 25:
+        parts, stats = sample_claim_partition(
+            req, reservoirs, params, config, start_attempt=start
+        )
         start = stats.attempts
         parts = repair_bad_parts(req, reservoirs, parts, best_effort=True)
         key = frozenset(frozenset(p) for p in parts)

@@ -49,7 +49,6 @@ from loosehc.splitting import (
 )
 from loosehc.switchbuild import PipelineConfig, sample_switching
 from loosehc.tiling import (
-    TilingConfig,
     TilingInfeasible,
     TilingRequest,
     build_path_tiling,
@@ -133,7 +132,7 @@ def test_criterion_2_path_tiling():
                     pair_list = ((0, 1), (2, 3))
                 request = TilingRequest(g, pair_list, conflicts, t)
                 try:
-                    tiling = build_path_tiling(request, TilingConfig(seed=case))
+                    tiling = build_path_tiling(request, desk_params(), PipelineConfig(seed=case))
                 except TilingInfeasible as exc:
                     rejected.append((m_prime, pairs_per, case, exc.stage))
                     continue

@@ -153,6 +153,18 @@ def test_tile_subcommand(tmp_path, capsys):
     assert records[0]["valid"] is True
 
 
+def test_tile_empty_pairs_exits_2(tmp_path, capsys):
+    g = Hypergraph.complete(8, 3)
+    (tmp_path / "g.hg").write_text(format_hypergraph(g))
+    (tmp_path / "empty.txt").write_text("")
+    code, records, err = run(
+        capsys, "tile", "--hg", tmp_path / "g.hg",
+        "--pairs", tmp_path / "empty.txt", "--t", 3, "--seed", 1,
+    )
+    assert code == 2 and records == []
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_estimate_subcommand_deterministic_stdout(files, capsys):
     args = [
         "estimate", "--hg", files / "g.hg", "--col", files / "g.col",
@@ -178,3 +190,16 @@ def test_manifest_written(files, capsys, tmp_path):
     assert data["command"] == "verify"
     assert data["version"] == loosehc.__version__
     assert "manifest:" in err
+
+
+def test_manifest_written_on_error_exit(files, capsys, tmp_path):
+    manifest = tmp_path / "manifest.json"
+    code, records, err = run(
+        capsys, "--manifest", manifest,
+        "search", "--hg", tmp_path / "missing.hg", "--col", files / "g.col",
+        "--t", 1, "--mtilde", 1, "--seed", 1,
+    )
+    assert code == 2 and records == []
+    data = json.loads(manifest.read_text())
+    assert data["command"] == "search" and data["exit_code"] == 2
+    assert "error:" in err and "manifest:" in err

@@ -6,6 +6,7 @@ from loosehc.hypergraph import (
     Hypergraph,
     InvalidInput,
     Parameters,
+    PipelineConfig,
     degree,
     edges_within,
     format_hypergraph,
@@ -122,6 +123,15 @@ def test_parameters_validation():
     with pytest.raises(InvalidInput):
         Parameters(k=3, j=1, path_len=1, pairs_per_part=1,
                    epsilon=1.5, mu=0.05, gamma=0.01, beta=0.5)
+
+
+def test_pipeline_config_mode_rule():
+    small, large = Hypergraph.complete(49, 3), Hypergraph.complete(50, 3)
+    assert PipelineConfig().is_structural(small)
+    assert not PipelineConfig().is_structural(large)
+    for g in (small, large):
+        assert PipelineConfig(structural=True).is_structural(g)
+        assert not PipelineConfig(structural=False).is_structural(g)
 
 
 def test_parse_roundtrip():

@@ -1,0 +1,34 @@
+"""Every module of the package declares its imports at the top: none
+imports inside a function body."""
+
+import ast
+from pathlib import Path
+
+import loosehc
+
+
+def function_local_imports(source: str) -> list[int]:
+    """Line numbers of import statements nested in a function or lambda."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            found.update(
+                inner.lineno for inner in ast.walk(node)
+                if isinstance(inner, (ast.Import, ast.ImportFrom))
+            )
+    return sorted(found)
+
+
+def test_detector_sees_nested_imports():
+    source = "import os\n\ndef f():\n    if os:\n        from math import pi\n"
+    assert function_local_imports(source) == [5]
+
+
+def test_no_function_local_imports():
+    package = Path(loosehc.__file__).parent
+    offenders = {
+        str(path.relative_to(package)): lines
+        for path in sorted(package.rglob("*.py"))
+        if (lines := function_local_imports(path.read_text()))
+    }
+    assert offenders == {}

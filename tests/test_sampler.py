@@ -6,6 +6,7 @@ import pytest
 from loosehc.colouring import Colouring
 from loosehc.cycles import LooseCycle, increasing_path, validate_loose_cycle
 from loosehc.hypergraph import Hypergraph, InvalidInput, Parameters
+from loosehc.oracles import find_hamilton_dicycle
 from loosehc.rng import stream
 from loosehc.sampler import (
     accept_suitable,
@@ -15,7 +16,6 @@ from loosehc.sampler import (
     close_pairs_within,
     exact_binomial_hit,
     estimate_suitable_fraction,
-    find_dicycle,
     is_spread,
     sample_splitting,
     sample_transverse_partition,
@@ -311,7 +311,7 @@ def test_build_aux_digraph_frozen_example():
     assert digraph.arcs == frozenset(
         {(0, 3), (1, 0), (1, 3), (2, 1), (3, 1), (3, 2)}
     )
-    assert find_dicycle(digraph) == (0, 3, 2, 1)
+    assert find_hamilton_dicycle(digraph) == (0, 3, 2, 1)
 
 
 def test_build_aux_digraph_single_part_exits():
@@ -334,7 +334,7 @@ def test_build_viable_partition_frozen_n12():
     ))
     digraph = build_aux_digraph(drawn, s)
     assert digraph.arcs == frozenset({(0, 2), (1, 0), (2, 1)})
-    dicycle = find_dicycle(digraph)
+    dicycle = find_hamilton_dicycle(digraph)
     assert dicycle == (0, 2, 1)
     swapped, rerouting = build_viable_partition(s, drawn, dicycle)
     assert set(rerouting.pairs) == {(0, 6), (2, 8), (4, 10)}

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 from loosehc.colouring import Colouring, is_rainbow
 from loosehc.constructions import first_prefix_colouring
 from loosehc.cycles import LooseCycle, validate_loose_cycle
-from loosehc.hypergraph import Hypergraph, Parameters
+from loosehc.hypergraph import Hypergraph, Parameters, PipelineConfig
 from loosehc.oracles import uniform_random_hamilton_cycle
-from loosehc.rng import stream
+from loosehc.rng import child_seed, stream
+import loosehc.search as search
 from loosehc.search import find_conflicts, find_rainbow_hamilton_cycle
 
 
@@ -103,3 +106,23 @@ def test_search_resolves_forced_conflict_by_switching():
     actions = [s["action"] for s in result.log.steps]
     assert actions.count("switch") >= 1
     assert is_rainbow(chi, result.cycle.edge_sequence)
+
+
+def test_search_passes_its_pipeline_config_to_each_step(monkeypatch):
+    # One colour everywhere: every step finds a conflict and asks for a
+    # switching, which the stand-in refuses.
+    g = Hypergraph.complete(12, 3)
+    pipeline = PipelineConfig(sample_budget=7, partition_budget=3, partition_tries=2,
+                              claim_budget=11, require_events=True)
+    received = []
+
+    def refuse(g, chi, cycle, anchor, params, config):
+        received.append(config)
+        return None
+
+    monkeypatch.setattr(search, "sample_switching", refuse)
+    result = find_rainbow_hamilton_cycle(g, Colouring.constant(g), desk_params(),
+                                         seed=1, max_steps=2, pipeline=pipeline)
+    assert not result.success and result.restarts == 2
+    assert [c.seed for c in received] == [child_seed(1, "search-step", s) for s in range(2)]
+    assert all(replace(c, seed=pipeline.seed) == pipeline for c in received)

@@ -12,7 +12,6 @@ from loosehc.splitting import (
 )
 from loosehc.switchbuild import (
     PipelineConfig,
-    SwitchBuildConfig,
     build_conflict_graph,
     build_feasible_switching,
     part_labels,
@@ -95,7 +94,7 @@ def test_build_feasible_switching_injective():
     chi = Colouring.injective(g)
     result = build_feasible_switching(
         cycle, s.paths[0], s, partition, rerouting, g, chi,
-        SwitchBuildConfig(seed=1),
+        desk_params(), PipelineConfig(seed=1),
     )
     # Independent re-checks through the predicate module.
     sw = result.switching
@@ -115,7 +114,7 @@ def test_build_feasible_switching_rejects_misplaced_anchor():
     chi = Colouring.injective(g)
     with pytest.raises(InvalidInput):
         build_feasible_switching(
-            cycle, s.paths[1], s, partition, rerouting, g, chi
+            cycle, s.paths[1], s, partition, rerouting, g, chi, desk_params()
         )
 
 
@@ -152,7 +151,7 @@ def test_anchor_coloured_like_host_still_feasible():
     chi = Colouring(g, tuple(assignment))
     result = build_feasible_switching(
         cycle, s.paths[0], s, partition, rerouting, g, chi,
-        SwitchBuildConfig(seed=2),
+        desk_params(), PipelineConfig(seed=2),
     )
     assert is_feasible(result.switching, chi).ok
 
@@ -164,7 +163,7 @@ def test_is_feasible_failure_witnesses():
     partition, rerouting = viable_n12(s)
     result = build_feasible_switching(
         cycle, s.paths[0], s, partition, rerouting, g, chi := Colouring.injective(g),
-        SwitchBuildConfig(seed=1),
+        desk_params(), PipelineConfig(seed=1),
     )
     sw = result.switching
     fresh = [

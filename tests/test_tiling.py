@@ -1,9 +1,8 @@
 import pytest
 
 from loosehc.graphs import PairGraph
-from loosehc.hypergraph import Hypergraph, InvalidInput
+from loosehc.hypergraph import Hypergraph, InvalidInput, Parameters, PipelineConfig
 from loosehc.tiling import (
-    TilingConfig,
     TilingInfeasible,
     TilingRequest,
     build_path_tiling,
@@ -14,6 +13,9 @@ from loosehc.tiling import (
     sample_claim_partition,
     validate_path_tiling,
 )
+
+PARAMS = Parameters(k=3, j=1, path_len=1, pairs_per_part=1,
+                    epsilon=0.2, mu=0.05, gamma=0.01, beta=0.5, threshold=0.0)
 
 
 def request(n, pairs, conflicts=(), t=3):
@@ -63,8 +65,8 @@ def test_choose_reservoirs_avoid_matching_conflicts():
 def test_sample_claim_partition_statistics():
     req = request(14, [(0, 1), (7, 8)])
     reservoirs = choose_reservoirs(req)
-    cfg = TilingConfig(seed=5)
-    parts, stats = sample_claim_partition(req, reservoirs, cfg)
+    cfg = PipelineConfig(seed=5)
+    parts, stats = sample_claim_partition(req, reservoirs, PARAMS, cfg)
     assert len(parts) == 2
     assert stats.attempts >= 1
     free = set(range(14)) - {0, 1, 7, 8} - set(reservoirs[1])
@@ -74,8 +76,8 @@ def test_sample_claim_partition_statistics():
 def test_sample_claim_partition_deterministic():
     req = request(14, [(0, 1), (7, 8)])
     reservoirs = choose_reservoirs(req)
-    a, _ = sample_claim_partition(req, reservoirs, TilingConfig(seed=9))
-    b, _ = sample_claim_partition(req, reservoirs, TilingConfig(seed=9))
+    a, _ = sample_claim_partition(req, reservoirs, PARAMS, PipelineConfig(seed=9))
+    b, _ = sample_claim_partition(req, reservoirs, PARAMS, PipelineConfig(seed=9))
     assert a == b
 
 
@@ -130,14 +132,14 @@ def test_build_tiling_with_disjoint_conflicts_single_block():
     # The claim conditions cannot hold here (the only block traps a
     # disjoint conflict matching) but the oracle still tiles around it.
     req = request(7, [(0, 1)], conflicts=[(2, 3), (4, 5)], t=3)
-    tiling = build_path_tiling(req, TilingConfig(seed=4))
+    tiling = build_path_tiling(req, PARAMS, PipelineConfig(seed=4))
     assert validate_path_tiling(req, tiling).ok
 
 
 def test_repair_identity_when_all_good():
     req = request(14, [(0, 1), (7, 8)])
     reservoirs = choose_reservoirs(req)
-    parts, _ = sample_claim_partition(req, reservoirs, TilingConfig(seed=1))
+    parts, _ = sample_claim_partition(req, reservoirs, PARAMS, PipelineConfig(seed=1))
     assert repair_bad_parts(req, reservoirs, parts) == parts
 
 
@@ -164,7 +166,7 @@ def test_fix_divisibility_single_block():
 
 def test_build_tiling_single_pair():
     req = request(7, [(0, 1)], t=3)
-    tiling = build_path_tiling(req, TilingConfig(seed=3))
+    tiling = build_path_tiling(req, PARAMS, PipelineConfig(seed=3))
     assert len(tiling.paths) == 1
     path = tiling.paths[0]
     assert path.length == 3
@@ -176,14 +178,14 @@ def test_build_tiling_single_edge_graph():
     req = TilingRequest(
         Hypergraph.from_edges(3, 3, [(0, 1, 2)]), ((0, 2),), PairGraph.empty(), 1
     )
-    tiling = build_path_tiling(req, TilingConfig(seed=0))
+    tiling = build_path_tiling(req, PARAMS, PipelineConfig(seed=0))
     assert tiling.paths[0].edges == ((0, 1, 2),)
     assert validate_path_tiling(req, tiling).ok
 
 
 def test_build_tiling_two_pairs_14():
     req = request(14, [(0, 1), (7, 8)], t=3)
-    tiling = build_path_tiling(req, TilingConfig(seed=11))
+    tiling = build_path_tiling(req, PARAMS, PipelineConfig(seed=11))
     assert len(tiling.paths) == 2
     assert {p.length for p in tiling.paths} <= {1, 2, 3, 4, 5, 6}
     assert validate_path_tiling(req, tiling).ok
@@ -192,7 +194,7 @@ def test_build_tiling_two_pairs_14():
 def test_build_tiling_respects_conflicts():
     conflicts = [(2, 3), (4, 5), (9, 10)]
     req = request(14, [(0, 1), (7, 8)], conflicts, t=3)
-    tiling = build_path_tiling(req, TilingConfig(seed=2))
+    tiling = build_path_tiling(req, PARAMS, PipelineConfig(seed=2))
     report = validate_path_tiling(req, tiling)
     assert report.ok, str(report)
 
@@ -200,13 +202,13 @@ def test_build_tiling_respects_conflicts():
 def test_build_tiling_divisibility_rejection():
     req = request(7, [(0, 1), (3, 4)], t=3)  # 2 paths cannot cover 7 vertices
     with pytest.raises(TilingInfeasible) as err:
-        build_path_tiling(req, TilingConfig(seed=0))
+        build_path_tiling(req, PARAMS, PipelineConfig(seed=0))
     assert err.value.stage == "divisibility"
 
 
 def test_validate_path_tiling_catches_bad_endpoints():
     req = request(7, [(0, 1)], t=3)
-    tiling = build_path_tiling(req, TilingConfig(seed=3))
+    tiling = build_path_tiling(req, PARAMS, PipelineConfig(seed=3))
     wrong = TilingRequest(req.graph, ((0, 2),), req.conflicts, req.path_len)
     report = validate_path_tiling(wrong, tiling)
     assert not report.ok
