@@ -97,19 +97,6 @@ def _load_cycle(path: str, g: Hypergraph) -> LooseCycle:
     return result
 
 
-def _load_pairs(path: str) -> list[tuple[int, int]]:
-    pairs = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        vs = parse_vertex_line(line)
-        if len(vs) != 2:
-            raise InvalidInput(f"pair line {line!r} must have two vertices")
-        pairs.append((vs[0], vs[1]))
-    return pairs
-
-
 def _load_vertex_lines(path: str) -> list[tuple[int, ...]]:
     rows = []
     for line in Path(path).read_text().splitlines():
@@ -117,6 +104,14 @@ def _load_vertex_lines(path: str) -> list[tuple[int, ...]]:
         if not line or line.startswith("#"):
             continue
         rows.append(parse_vertex_line(line))
+    return rows
+
+
+def _load_pairs(path: str) -> list[tuple[int, ...]]:
+    rows = _load_vertex_lines(path)
+    for row in rows:
+        if len(row) != 2:
+            raise InvalidInput(f"pair line {format_vertex_line(row)!r} must have two vertices")
     return rows
 
 
@@ -319,6 +314,8 @@ def cmd_switch(args) -> int:
     else:
         if not args.splitting or not args.partition:
             raise InvalidInput("either --sample or both --splitting and --partition")
+        if args.strict:
+            raise InvalidInput("--strict gates sampled splittings; it needs --sample")
         paths = [LoosePath(row, g.k) for row in _load_vertex_lines(args.splitting)]
         checked = validate_splitting(cycle, paths, "balanced", params.path_len)
         if isinstance(checked, Violation):
@@ -515,24 +512,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _manifest_flag(argv: list) -> str | None:
+    """The --manifest value of a command line that argparse rejected."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--manifest", nargs="?")
+    return pre.parse_known_args(argv)[0].manifest
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INVALID if exc.code not in (0, None) else 0
+    argv = sys.argv[1:] if argv is None else list(argv)
     started = time.monotonic()
     try:
-        code = args.handler(args)
-    except (FormatError, InvalidInput, FileNotFoundError) as exc:
-        human(f"error: {exc}")
-        code = EXIT_INVALID
-    except BudgetExhausted as exc:
-        human(f"budget exhausted: {exc}")
-        code = EXIT_BUDGET
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        args = argparse.Namespace(command=None, manifest=_manifest_flag(argv))
+        code = EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
+    else:
+        try:
+            code = args.handler(args)
+        except (FormatError, InvalidInput, FileNotFoundError) as exc:
+            human(f"error: {exc}")
+            code = EXIT_INVALID
+        except BudgetExhausted as exc:
+            human(f"budget exhausted: {exc}")
+            code = EXIT_BUDGET
     manifest = {
         "command": args.command,
-        "argv": sys.argv[1:] if argv is None else list(argv),
+        "argv": argv,
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "python": platform.python_version(),

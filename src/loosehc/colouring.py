@@ -37,13 +37,6 @@ class Colouring:
     def class_sizes(self) -> dict[int, int]:
         return dict(Counter(self.assignment))
 
-    @cached_property
-    def classes(self) -> dict[int, tuple[tuple[int, ...], ...]]:
-        buckets: dict[int, list[tuple[int, ...]]] = {}
-        for e, c in zip(self.graph.edges, self.assignment):
-            buckets.setdefault(c, []).append(e)
-        return {c: tuple(es) for c, es in buckets.items()}
-
     def colour(self, edge: Iterable[int]) -> int:
         e = tuple(sorted(edge))
         try:
@@ -59,14 +52,6 @@ class Colouring:
     @classmethod
     def constant(cls, graph: Hypergraph, colour: int = 0) -> "Colouring":
         return cls(graph, (colour,) * len(graph.edges))
-
-    @classmethod
-    def from_map(cls, graph: Hypergraph, mapping: dict) -> "Colouring":
-        key = {tuple(sorted(e)): c for e, c in mapping.items()}
-        try:
-            return cls(graph, tuple(key[e] for e in graph.edges))
-        except KeyError as exc:
-            raise InvalidInput(f"edge {exc.args[0]} has no colour") from None
 
 
 def check_global_bound(chi: Colouring, mu: float, n: int, k: int) -> bool:

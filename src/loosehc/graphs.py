@@ -23,19 +23,6 @@ class Digraph:
             outs[u].append(v)
         return tuple(tuple(o) for o in outs)
 
-    @cached_property
-    def in_degrees(self) -> tuple[int, ...]:
-        degs = [0] * self.n
-        for _, v in self.arcs:
-            degs[v] += 1
-        return tuple(degs)
-
-    def min_out_degree(self) -> int:
-        return min((len(o) for o in self.out_neighbours), default=0)
-
-    def min_in_degree(self) -> int:
-        return min(self.in_degrees, default=0)
-
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
         return cls(n, frozenset((u, v) for u, v in arcs))

@@ -7,6 +7,7 @@ out of budget can never masquerade as a proof of absence.
 
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable
 
 from .colouring import Colouring
@@ -20,7 +21,6 @@ from .rng import stream
 class EnumerationBudget:
     node_limit: int = 50_000_000
     time_limit: float = 300.0
-    canonical: bool = True
 
     def __post_init__(self) -> None:
         if self.node_limit <= 0 or self.time_limit <= 0:
@@ -63,102 +63,82 @@ class RainbowSearchResult:
     witness: LooseCycle | TightCycle | None = None
 
 
-def _anchored_walks(
-    g: Hypergraph,
-    clock: _BudgetClock,
-    colour_of=None,
-):
-    """Generate vertex walks of loose Hamilton cycles, anchored so that the
-    first edge is the lexicographic minimum of the cycle's edge set.
+def _loose_walks(by_vertex, walk, used, end, remaining, tick, colour_of=None, colours=None):
+    """Extend walk by `remaining` loose edges, yielding each finished walk.
 
-    Each cycle is produced once or twice (once per direction); callers
-    deduplicate through canonical form.  With colour_of set, any branch that
-    repeats a colour is pruned, so only rainbow cycles are generated.
+    Each new edge meets `used` only in the walk's current last vertex, and
+    only the last edge contains `end`, which closes the walk.  tick() counts
+    a node; once it returns False the search stops.  With colour_of set, a
+    branch that repeats a colour in `colours` is pruned, so only rainbow
+    walks come out.
     """
-    n, k = g.n, g.k
-    count = n // (k - 1)
-    for anchor in g.edges:
-        anchor_set = set(anchor)
-        rest = [e for e in g.edges if e > anchor]
-        by_vertex: dict[int, list[tuple[int, ...]]] = {}
-        for e in rest:
-            for v in e:
-                by_vertex.setdefault(v, []).append(e)
-        for entry in anchor:
-            for exit_ in anchor:
-                if entry == exit_:
-                    continue
-                interior = sorted(anchor_set - {entry, exit_})
-                walk = [entry, *interior, exit_]
-                used = set(anchor)
-                colours = {colour_of(anchor)} if colour_of else None
-                yield from _extend_walk(
-                    g, by_vertex, walk, used, entry, exit_, 1, count, clock, colours, colour_of
-                )
-                if clock.exhausted:
-                    return
-
-
-def _extend_walk(
-    g, by_vertex, walk, used, entry, current, depth, count, clock, colours, colour_of
-):
-    if not clock.tick():
+    if not tick():
         return
-    if depth == count - 1:
-        for e in by_vertex.get(current, ()):
-            e_set = set(e)
-            if entry not in e_set:
-                continue
-            middle = e_set - {current, entry}
-            if middle & used:
-                continue
-            if colour_of is not None:
-                c = colour_of(e)
-                if c in colours:
-                    continue
-            yield tuple(walk) + tuple(sorted(middle))
-        return
+    current = walk[-1]
+    last = remaining == 1
     for e in by_vertex.get(current, ()):
         e_set = set(e)
-        others = e_set - {current}
-        if (e_set & used) != {current} or entry in e_set:
+        if (e_set & used) != {current} or (end in e_set) != last:
             continue
         if colour_of is not None:
             c = colour_of(e)
             if c in colours:
                 continue
+        others = e_set - {current}
+        if last:
+            yield (*walk, *sorted(others - {end}), end)
+            continue
+        if colour_of is not None:
             colours.add(c)
+        used |= others
         for nxt in sorted(others):
-            interior = sorted(others - {nxt})
-            walk.extend(interior)
+            walk.extend(sorted(others - {nxt}))
             walk.append(nxt)
-            used |= others
-            yield from _extend_walk(
-                g, by_vertex, walk, used, entry, nxt, depth + 1, count, clock, colours, colour_of
+            yield from _loose_walks(
+                by_vertex, walk, used, end, remaining - 1, tick, colour_of, colours
             )
-            used -= others
-            del walk[-(len(interior) + 1):]
-            if clock.exhausted:
-                break
+            del walk[-len(others):]
+        used -= others
         if colour_of is not None:
             colours.discard(c)
-        if clock.exhausted:
-            return
+
+
+def _cycle_walks(g: Hypergraph, clock: _BudgetClock, colour_of=None):
+    """Vertex walks of the loose Hamilton cycles of g, each cycle once.
+
+    The first edge of a walk is the cycle's least edge, the anchor; the rest
+    of the cycle is a spanning loose path from the anchor's exit back to its
+    entry.  Requiring entry < exit fixes the direction.
+    """
+    if g.n % (g.k - 1) != 0:
+        raise InvalidInput(f"(k-1) = {g.k - 1} must divide n = {g.n}")
+    count = g.n // (g.k - 1)
+    if count < 3 or len(g.edges) < count:
+        return
+    for anchor in g.edges:
+        by_vertex: dict[int, list[tuple[int, ...]]] = {}
+        for e in g.edges:
+            if e > anchor:
+                for v in e:
+                    by_vertex.setdefault(v, []).append(e)
+        for entry, exit_ in combinations(anchor, 2):
+            interior = [v for v in anchor if v != entry and v != exit_]
+            colours = {colour_of(anchor)} if colour_of else None
+            for walk in _loose_walks(
+                by_vertex, [entry, *interior, exit_], set(anchor) - {entry},
+                entry, count - 1, clock.tick, colour_of, colours,
+            ):
+                yield walk[:-1]
+            if clock.exhausted:
+                return
 
 
 def enumerate_loose_hamilton_cycles(
     g: Hypergraph, budget: EnumerationBudget | None = None
 ) -> EnumerationResult:
     """All distinct loose Hamilton cycles of g, in canonical form."""
-    if g.n % (g.k - 1) != 0:
-        raise InvalidInput(f"(k-1) = {g.k - 1} must divide n = {g.n}")
-    budget = budget or EnumerationBudget()
-    clock = _BudgetClock(budget)
-    found: set[LooseCycle] = set()
-    count = g.n // (g.k - 1)
-    if count >= 3 and len(g.edges) >= count:
-        for walk in _anchored_walks(g, clock):
-            found.add(LooseCycle(walk, g.k))
+    clock = _BudgetClock(budget or EnumerationBudget())
+    found = [LooseCycle(walk, g.k) for walk in _cycle_walks(g, clock)]
     cycles = tuple(sorted(found, key=lambda c: c.vertices))
     return EnumerationResult(cycles, complete=not clock.exhausted, nodes=clock.nodes)
 
@@ -167,15 +147,9 @@ def exists_rainbow_loose_hc(
     g: Hypergraph, chi: Colouring, budget: EnumerationBudget | None = None
 ) -> RainbowSearchResult:
     """First rainbow loose Hamilton cycle in enumeration order, if any."""
-    if g.n % (g.k - 1) != 0:
-        raise InvalidInput(f"(k-1) = {g.k - 1} must divide n = {g.n}")
-    budget = budget or EnumerationBudget()
-    clock = _BudgetClock(budget)
-    colour_of = chi.colour
-    count = g.n // (g.k - 1)
-    if count >= 3 and len(g.edges) >= count:
-        for walk in _anchored_walks(g, clock, colour_of=colour_of):
-            return RainbowSearchResult("found", LooseCycle(walk, g.k))
+    clock = _BudgetClock(budget or EnumerationBudget())
+    for walk in _cycle_walks(g, clock, colour_of=chi.colour):
+        return RainbowSearchResult("found", LooseCycle(walk, g.k))
     return RainbowSearchResult("unknown" if clock.exhausted else "absent")
 
 
@@ -187,7 +161,8 @@ def find_loose_hamilton_path(
 ) -> LoosePath | None:
     """A spanning loose path from a to b, or definitive absence.
 
-    No chosen hyperedge may contain a forbidden pair of vertices.
+    No chosen hyperedge may contain a forbidden pair of vertices.  The search
+    has no budget, so None is a proof of absence.
     """
     if (g.n - 1) % (g.k - 1) != 0:
         raise InvalidInput(f"no loose path spans {g.n} vertices with k = {g.k}")
@@ -202,35 +177,7 @@ def find_loose_hamilton_path(
         for v in e:
             allowed.setdefault(v, []).append(e)
     length = (g.n - 1) // (g.k - 1)
-
-    def extend(walk: list[int], used: set[int], depth: int):
-        current = walk[-1]
-        last = depth == length - 1
-        for e in allowed.get(current, ()):
-            e_set = set(e)
-            if (e_set & used) != {current}:
-                continue
-            others = e_set - {current}
-            if last:
-                if b not in others:
-                    continue
-                walk.extend(sorted(others - {b}))
-                walk.append(b)
-                yield tuple(walk)
-                del walk[-(len(others)):]
-                continue
-            if b in others:
-                continue
-            for nxt in sorted(others):
-                interior = sorted(others - {nxt})
-                walk.extend(interior)
-                walk.append(nxt)
-                used |= others
-                yield from extend(walk, used, depth + 1)
-                used -= others
-                del walk[-(len(interior) + 1):]
-
-    for walk in extend([a], {a}, 0):
+    for walk in _loose_walks(allowed, [a], {a}, b, length, lambda: True):
         return LoosePath(walk, g.k)
     return None
 
@@ -311,10 +258,7 @@ def exists_rainbow_tight_hc(g: Hypergraph, chi: Colouring) -> RainbowSearchResul
 
 
 def uniform_random_hamilton_cycle(
-    g: Hypergraph,
-    seed: int,
-    method: str = "auto",
-    budget: EnumerationBudget | None = None,
+    g: Hypergraph, seed: int, budget: EnumerationBudget | None = None
 ) -> LooseCycle:
     """A uniformly random loose Hamilton cycle.
 
@@ -323,9 +267,7 @@ def uniform_random_hamilton_cycle(
     avoids enumerating the whole set.  Otherwise the enumerated canonical
     set is sampled directly.
     """
-    if method not in ("auto", "enumerate", "permutation"):
-        raise InvalidInput(f"unknown sampling method {method!r}")
-    if method == "permutation" or (method == "auto" and g.is_complete()):
+    if g.is_complete():
         if g.n % (g.k - 1) != 0 or g.n // (g.k - 1) < 3:
             raise InvalidInput("graph has no loose Hamilton cycle")
         gen = stream(seed, "uniform-cycle")

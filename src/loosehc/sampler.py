@@ -16,7 +16,7 @@ from math import comb, sqrt
 from .colouring import Colouring
 from .cycles import LooseCycle, LoosePath, increasing_path, subpath_run
 from .graphs import Digraph
-from .hypergraph import Hypergraph, InvalidInput, Parameters, edges_within
+from .hypergraph import Hypergraph, InvalidInput, Parameters, edges_within, relative_degree
 from .oracles import find_hamilton_dicycle
 from .rng import child_seed, stream
 from .splitting import (
@@ -354,12 +354,7 @@ def partition_conditions(
         degree_ok = True
         for s in combinations(sorted(splitting.vertex_set), params.j):
             for h, part in enumerate(partition.parts):
-                target = part - set(s)
-                count = 0
-                for e in g.by_vertex[min(s)]:
-                    e_set = set(e)
-                    if set(s) <= e_set and (e_set - set(s)) <= target:
-                        count += 1
+                count = relative_degree(g, s, part)
                 if count < bound:
                     degree_ok = False
                     witnesses["relative-degree"] = {"set": s, "part": h, "degree": count}

@@ -141,6 +141,21 @@ def test_switch_explicit_files(files, capsys):
     assert len(records[0]["new_paths"]) == 3
 
 
+def test_switch_explicit_files_refuses_strict(files, capsys):
+    (files / "splitting.txt").write_text("0 1 2\n4 5 6\n8 9 10\n")
+    (files / "partition.txt").write_text("1 4 10\n2 5 8\n0 6 9\n")
+    code, records, err = run(
+        capsys, "switch",
+        "--hg", files / "g.hg", "--col", files / "g.col",
+        "--cycle", files / "cycle.txt", "--p0", "0 1 2",
+        "--seed", 1, "--t", 1, "--mtilde", 1, "--strict",
+        "--splitting", files / "splitting.txt",
+        "--partition", files / "partition.txt",
+    )
+    assert code == 2 and records == []
+    assert "error:" in err and "--sample" in err
+
+
 def test_tile_subcommand(tmp_path, capsys):
     g = Hypergraph.complete(7, 3)
     (tmp_path / "g.hg").write_text(format_hypergraph(g))
@@ -203,3 +218,15 @@ def test_manifest_written_on_error_exit(files, capsys, tmp_path):
     data = json.loads(manifest.read_text())
     assert data["command"] == "search" and data["exit_code"] == 2
     assert "error:" in err and "manifest:" in err
+
+
+def test_manifest_written_when_argparse_rejects(files, capsys, tmp_path):
+    manifest = tmp_path / "manifest.json"
+    code, records, err = run(
+        capsys, "--manifest", manifest, "enumerate", "--hg", files / "g.hg", "--nope",
+    )
+    assert code == 2 and records == []
+    data = json.loads(manifest.read_text())
+    assert data["command"] is None and data["exit_code"] == 2
+    assert "--nope" in data["argv"]
+    assert "manifest:" in err

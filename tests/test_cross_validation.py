@@ -2,6 +2,7 @@
 
 from itertools import permutations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from loosehc.colouring import Colouring, is_rainbow
@@ -59,12 +60,13 @@ def brute_force_path(g, a, b, forbidden=frozenset()):
     return False
 
 
-def test_path_oracle_matches_bruteforce_on_random_graphs():
-    full = Hypergraph.complete(7, 3)
+@pytest.mark.parametrize("k", [3, 4])
+def test_path_oracle_matches_bruteforce_on_random_graphs(k):
+    full = Hypergraph.complete(7, k)
     for seed in range(12):
         gen = stream(seed, "path-oracle-graphs")
         keep = [e for e in full.edges if gen.random() < 0.35]
-        g = Hypergraph.from_edges(7, 3, keep)
+        g = Hypergraph.from_edges(7, k, keep)
         forbidden = [(0, 3)] if seed % 2 else []
         found = find_loose_hamilton_path(g, 0, 1, forbidden)
         expected = brute_force_path(g, 0, 1, forbidden)

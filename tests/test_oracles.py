@@ -1,7 +1,9 @@
 from itertools import permutations
+from math import factorial
 
 import pytest
 
+from loosehc import oracles
 from loosehc.colouring import Colouring
 from loosehc.cycles import LooseCycle, LoosePath, validate_loose_cycle
 from loosehc.graphs import Digraph, PairGraph
@@ -153,15 +155,40 @@ def test_uniform_random_cycle_single_choice():
     only = enumerate_loose_hamilton_cycles(g).cycles
     assert len(only) == 1
     for seed in range(5):
-        assert uniform_random_hamilton_cycle(g, seed, method="enumerate") == only[0]
+        assert uniform_random_hamilton_cycle(g, seed) == only[0]
 
 
-def test_uniform_random_cycle_methods_agree_in_distribution():
-    g = Hypergraph.complete(6, 3)
-    cycles = set(enumerate_loose_hamilton_cycles(g).cycles)
-    for seed in range(30):
-        assert uniform_random_hamilton_cycle(g, seed, method="permutation") in cycles
-        assert uniform_random_hamilton_cycle(g, seed, method="enumerate") in cycles
+def test_uniform_random_cycle_draws_lie_in_the_host():
+    """Complete hosts draw a permutation, others sample the enumeration;
+    either way every draw is a cycle of the host."""
+    complete = Hypergraph.complete(6, 3)
+    missing_one = Hypergraph.from_edges(6, 3, complete.edges[1:])
+    assert not missing_one.is_complete()
+    for g in (complete, missing_one):
+        cycles = set(enumerate_loose_hamilton_cycles(g).cycles)
+        for seed in range(30):
+            assert uniform_random_hamilton_cycle(g, seed) in cycles
+
+
+def test_enumeration_builds_each_cycle_once(monkeypatch):
+    built = []
+
+    def counting_loose_cycle(*args):
+        built.append(args)
+        return LooseCycle(*args)
+
+    monkeypatch.setattr(oracles, "LooseCycle", counting_loose_cycle)
+    result = enumerate_loose_hamilton_cycles(Hypergraph.complete(8, 3))
+    assert len(result.cycles) == 5040
+    assert len(built) == 5040
+
+
+def test_enumeration_count_k9_uniformity_4():
+    g = Hypergraph.complete(9, 4)
+    result = enumerate_loose_hamilton_cycles(g)
+    assert result.complete
+    # n! / (2m ((k-2)!)^m) with m = n / (k-1) = 3 edges
+    assert len(result.cycles) == factorial(9) // (2 * 3 * factorial(2) ** 3) == 7560
 
 
 def test_find_hamilton_dicycle_examples():
