@@ -5,6 +5,7 @@ exhaustive oracles can use set/bitmask tricks freely.  All types here are
 immutable after construction.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -90,13 +91,24 @@ def degree(g: Hypergraph, s: Iterable[int]) -> int:
 
 
 def relative_degree(g: Hypergraph, s: Iterable[int], w: Iterable[int]) -> int:
-    """Number of edges e with s <= e and e - s contained in w."""
+    """Number of edges e with s <= e and e - s contained in w.
+
+    e - s never meets s, so it is a (k - |s|)-subset of w - s.  When there
+    are fewer such subsets than the k|E|/n edges a vertex lies in on
+    average, each is looked up in the edge set, and the cost follows w
+    rather than the host; otherwise the edges through min(s) are scanned.
+    """
     s = _check_vertex_set(g, s, "S")
     w = _check_vertex_set(g, w, "W")
     if len(s) > g.k:
         raise InvalidInput(f"|S| = {len(s)} exceeds uniformity {g.k}")
     if not s:
-        return sum(1 for e in g.edges if w.issuperset(e))
+        return len(edges_within(g, w))
+    rest, r = sorted(w - s), g.k - len(s)
+    if comb(len(rest), r) * g.n < g.k * len(g.edges):
+        return sum(
+            1 for c in combinations(rest, r) if tuple(sorted((*s, *c))) in g.edge_set
+        )
     v = min(s)
     return sum(1 for e in g.by_vertex[v] if s.issubset(e) and w.issuperset(set(e) - s))
 
@@ -113,7 +125,7 @@ def min_j_degree(g: Hypergraph, j: int) -> int:
 def edges_within(g: Hypergraph, w: Iterable[int]) -> list[tuple[int, ...]]:
     """Edges of g entirely contained in w (no relabelling)."""
     w = _check_vertex_set(g, w, "W")
-    if len(w) >= g.k and comb(len(w), g.k) < len(g.edges):
+    if comb(len(w), g.k) < len(g.edges):
         return [e for e in combinations(sorted(w), g.k) if e in g.edge_set]
     return [e for e in g.edges if w.issuperset(e)]
 
@@ -131,13 +143,18 @@ def induced(g: Hypergraph, w: Iterable[int]) -> tuple[Hypergraph, tuple[int, ...
     return Hypergraph(len(old_ids), g.k, sub_edges), old_ids
 
 
+def j_degrees_within(g: Hypergraph, w: Iterable[int], j: int) -> Counter[tuple[int, ...]]:
+    """For each sorted j-tuple, the number of edges inside w containing it,
+    counted in one pass over those edges.  A j-set of w in no such edge
+    counts 0."""
+    return Counter(s for e in edges_within(g, w) for s in combinations(e, j))
+
+
 def min_j_degree_within(g: Hypergraph, w: Iterable[int], j: int) -> int:
     """Minimum j-degree of the subgraph induced on w, without relabelling."""
     w = sorted(_check_vertex_set(g, w, "W"))
-    inside = edges_within(g, w)
-    return min(
-        sum(1 for e in inside if set(s).issubset(e)) for s in combinations(w, j)
-    )
+    degrees = j_degrees_within(g, w, j)
+    return min(degrees[s] for s in combinations(w, j))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,14 @@ from math import comb, sqrt
 from .colouring import Colouring
 from .cycles import LooseCycle, LoosePath, increasing_path, subpath_run
 from .graphs import Digraph
-from .hypergraph import Hypergraph, InvalidInput, Parameters, edges_within, relative_degree
+from .hypergraph import (
+    Hypergraph,
+    InvalidInput,
+    Parameters,
+    edges_within,
+    j_degrees_within,
+    relative_degree,
+)
 from .oracles import find_hamilton_dicycle
 from .rng import child_seed, stream
 from .splitting import (
@@ -221,10 +228,10 @@ def check_events(
     part_count = t * (k - 1) + 1
     sample_vertex_target = part_count * m
     bound = (threshold + 3 * epsilon / 4) * sample_vertex_target ** (k - j)
-    inside_edges = edges_within(g, everything)
+    degrees = j_degrees_within(g, everything, j)
     flags["low-sample-degree"] = False
     for s in combinations(everything, j):
-        deg = sum(1 for e in inside_edges if set(s) <= set(e))
+        deg = degrees[s]
         if deg < bound:
             flags["low-sample-degree"] = True
             witnesses["low-sample-degree"] = {"set": s, "degree": deg, "bound": bound}

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from loosehc.hypergraph import (
     format_hypergraph,
     induced,
     min_j_degree,
+    min_j_degree_within,
     parse_hypergraph,
     relative_degree,
 )
@@ -99,6 +102,48 @@ def test_degree_double_counting(g, data):
         relative_degree(g, s | {v}, set(range(g.n)) - s - {v}) for v in rest
     )
     assert degree(g, s) * (g.k - len(s)) == total
+
+
+@st.composite
+def hosts_with_sets(draw):
+    """A host of any density with a vertex set s (|s| <= k, maybe empty)
+    and a target w that may meet s, from a single vertex to all of them."""
+    n = draw(st.integers(4, 8))
+    k = draw(st.integers(2, min(4, n - 1)))
+    complete = Hypergraph.complete(n, k)
+    chosen = draw(st.sets(st.sampled_from(complete.edges)))
+    g = Hypergraph.from_edges(n, k, sorted(chosen))
+    s = frozenset(draw(st.permutations(range(n)))[:draw(st.integers(0, k))])
+    w = draw(st.sets(st.integers(0, n - 1)))
+    return g, s, w
+
+
+@settings(max_examples=150, deadline=None)
+@given(hosts_with_sets())
+def test_relative_degree_matches_bruteforce(case):
+    g, s, w = case
+    expected = sum(1 for e in g.edges if s <= set(e) and set(e) - s <= w)
+    assert relative_degree(g, s, w) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(hosts_with_sets())
+def test_min_j_degree_within_matches_bruteforce(case):
+    g, _, w = case
+    for j in range(1, min(g.k - 1, len(w)) + 1):
+        expected = min(
+            sum(1 for e in g.edges if set(s) <= set(e) <= w)
+            for s in combinations(sorted(w), j)
+        )
+        assert min_j_degree_within(g, w, j) == expected
+
+
+def test_relative_degree_on_a_small_part_leaves_the_index_unbuilt():
+    # Three completions are looked up instead of scanning the 1,711 edges
+    # through vertex 0, so the per-vertex index is never built.
+    g = Hypergraph.complete(60, 3)
+    assert relative_degree(g, {0}, {1, 2, 3}) == 3
+    assert "by_vertex" not in g.__dict__
 
 
 def test_edges_within_matches_bruteforce():

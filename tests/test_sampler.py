@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -149,6 +150,37 @@ def test_check_events_degree_on_complete_host():
     # C(9-1, 2) = 28 >= (3*eps/4)*9^2 = 12.15 would fail; bound uses M = 9
     assert events.flags["low-sample-degree"] is False
     assert not events.any
+
+
+def test_check_events_low_sample_degree_matches_bruteforce():
+    # A half-density host around the cycle: the event fires on some samples
+    # and not on others, at j = 1 and j = 2.
+    full, full_cycle = complete_cycle(30)
+    keep = stream(5, "test-host").random(len(full.edges)) < 0.5
+    cycle_edges = set(full_cycle.edge_sequence)
+    g = Hypergraph.from_edges(30, 3, [
+        e for e, kept in zip(full.edges, keep) if kept or e in cycle_edges
+    ])
+    cycle = validate_loose_cycle(g, range(30))
+    chi = Colouring.injective(g)
+    anchor = increasing_path(cycle, cycle.edge_sequence[0], 1)
+    fired = set()
+    for j in (1, 2):
+        bound = (3 * 0.2 / 4) * 9 ** (3 - j)
+        for trial in range(12):
+            sample = sample_splitting(cycle, anchor, 3, 1, seed=11, trial=trial)
+            events = check_events(sample, g, chi, epsilon=0.2, path_count=3, j=j)
+            everything = sample.vertices
+            expected = None
+            for s in combinations(sorted(everything), j):
+                deg = sum(1 for e in g.edges if set(s) <= set(e) <= everything)
+                if deg < bound:
+                    expected = {"set": s, "degree": deg, "bound": bound}
+                    break
+            assert events.flags["low-sample-degree"] is (expected is not None)
+            assert events.witnesses.get("low-sample-degree") == expected
+            fired.add(expected is not None)
+    assert fired == {True, False}
 
 
 def test_accept_suitable_positive_rate_and_suitability():
