@@ -93,10 +93,9 @@ def degree(g: Hypergraph, s: Iterable[int]) -> int:
 def relative_degree(g: Hypergraph, s: Iterable[int], w: Iterable[int]) -> int:
     """Number of edges e with s <= e and e - s contained in w.
 
-    e - s never meets s, so it is a (k - |s|)-subset of w - s.  When there
-    are fewer such subsets than the k|E|/n edges a vertex lies in on
-    average, each is looked up in the edge set, and the cost follows w
-    rather than the host; otherwise the edges through min(s) are scanned.
+    e - s never meets s, so it is a (k - |s|)-subset of w - s.  Each such
+    subset is looked up in the edge set, so the cost follows w rather than
+    the host.
     """
     s = _check_vertex_set(g, s, "S")
     w = _check_vertex_set(g, w, "W")
@@ -104,13 +103,11 @@ def relative_degree(g: Hypergraph, s: Iterable[int], w: Iterable[int]) -> int:
         raise InvalidInput(f"|S| = {len(s)} exceeds uniformity {g.k}")
     if not s:
         return len(edges_within(g, w))
-    rest, r = sorted(w - s), g.k - len(s)
-    if comb(len(rest), r) * g.n < g.k * len(g.edges):
-        return sum(
-            1 for c in combinations(rest, r) if tuple(sorted((*s, *c))) in g.edge_set
-        )
-    v = min(s)
-    return sum(1 for e in g.by_vertex[v] if s.issubset(e) and w.issuperset(set(e) - s))
+    return sum(
+        1
+        for c in combinations(sorted(w - s), g.k - len(s))
+        if tuple(sorted((*s, *c))) in g.edge_set
+    )
 
 
 def min_j_degree(g: Hypergraph, j: int) -> int:

@@ -139,8 +139,9 @@ def test_min_j_degree_within_matches_bruteforce(case):
 
 
 def test_relative_degree_on_a_small_part_leaves_the_index_unbuilt():
-    # Three completions are looked up instead of scanning the 1,711 edges
-    # through vertex 0, so the per-vertex index is never built.
+    # Only the three completions inside the part are looked up; the 1,711
+    # edges through vertex 0 are never listed, so the per-vertex index is
+    # never built.
     g = Hypergraph.complete(60, 3)
     assert relative_degree(g, {0}, {1, 2, 3}) == 3
     assert "by_vertex" not in g.__dict__
