@@ -75,30 +75,23 @@ class LoosePath:
 
 
 def _canonical_cycle_vertices(seq: Sequence[int], k: int) -> tuple[int, ...]:
-    n = len(seq)
-    count = n // (k - 1)
-    # Edge indices are taken mod n; the last edge wraps around to seq[0].
-    # The reflection must fix position 0 so edge boundaries stay at
-    # multiples of (k-1).
-    reflected = [seq[0], *reversed(seq[1:])]
-    best: tuple[int, ...] | None = None
-    for direction in (list(seq), reflected):
-        dir_edges = [
-            tuple(sorted(direction[(i * (k - 1) + j) % n] for j in range(k)))
-            for i in range(count)
-        ]
-        start = dir_edges.index(min(dir_edges))
-        rotated = direction[start * (k - 1):] + direction[: start * (k - 1)]
-        normal: list[int] = []
-        for i in range(count):
-            normal.append(rotated[i * (k - 1)])
-            interior = rotated[i * (k - 1) + 1: i * (k - 1) + k - 1]
-            normal.extend(sorted(interior))
-        candidate = tuple(normal)
-        if best is None or candidate < best:
-            best = candidate
-    assert best is not None
-    return best
+    n, step = len(seq), k - 1
+    # Edge i is ring[i*step : i*step + k]; the last edge wraps to seq[0].
+    ring = (*seq, seq[0])
+    edges = [tuple(sorted(ring[i: i + k])) for i in range(0, n, step)]
+    start = edges.index(min(edges)) * step
+    # The reflection has the same least edge, entered from its other end.
+    # The two candidates differ in their first vertex, so the direction that
+    # enters the least edge at its smaller end wins.
+    if ring[start] < ring[start + step]:
+        rotated = ring[start:n] + ring[:start]
+    else:
+        rotated = tuple(ring[(start + step - i) % n] for i in range(n))
+    normal: list[int] = []
+    for i in range(0, n, step):
+        normal.append(rotated[i])
+        normal.extend(sorted(rotated[i + 1: i + step]))
+    return tuple(normal)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ out of budget can never masquerade as a proof of absence.
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable
 
 from .colouring import Colouring
@@ -63,42 +63,53 @@ class RainbowSearchResult:
     witness: LooseCycle | TightCycle | None = None
 
 
-def _loose_walks(by_vertex, walk, used, end, remaining, tick, colour_of=None, colours=None):
+def _loose_index(n: int, edges) -> list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]]:
+    """For each vertex v, (mask, others, e) for the edges e through v in the
+    given order: mask has a bit per vertex of e, others is e without v."""
+    index: list[list] = [[] for _ in range(n)]
+    for e in edges:
+        mask = 0
+        for v in e:
+            mask |= 1 << v
+        for i, v in enumerate(e):
+            index[v].append((mask, e[:i] + e[i + 1:], e))
+    return index
+
+
+def _loose_walks(index, walk, used, end, remaining, tick, colour_of=None, colours=None):
     """Extend walk by `remaining` loose edges, yielding each finished walk.
 
-    Each new edge meets `used` only in the walk's current last vertex, and
-    only the last edge contains `end`, which closes the walk.  tick() counts
-    a node; once it returns False the search stops.  With colour_of set, a
-    branch that repeats a colour in `colours` is pruned, so only rainbow
-    walks come out.
+    `used` is the bitmask of the walk's vertices.  Each new edge meets it
+    only in the walk's current last vertex, and only the last edge contains
+    `end`, which closes the walk.  tick() counts a node; once it returns
+    False the search stops.  With colour_of (edge -> colour) set, a branch
+    that repeats a colour in `colours` is pruned, so only rainbow walks
+    come out.
     """
     if not tick():
         return
     current = walk[-1]
-    last = remaining == 1
-    for e in by_vertex.get(current, ()):
-        e_set = set(e)
-        if (e_set & used) != {current} or (end in e_set) != last:
+    bit, end_bit = 1 << current, 1 << end
+    want_end = end_bit if remaining == 1 else 0
+    for mask, others, e in index[current]:
+        if mask & used != bit or mask & end_bit != want_end:
             continue
         if colour_of is not None:
-            c = colour_of(e)
+            c = colour_of[e]
             if c in colours:
                 continue
-        others = e_set - {current}
-        if last:
-            yield (*walk, *sorted(others - {end}), end)
+        if want_end:
+            yield (*walk, *(v for v in others if v != end), end)
             continue
         if colour_of is not None:
             colours.add(c)
-        used |= others
-        for nxt in sorted(others):
-            walk.extend(sorted(others - {nxt}))
+        for i, nxt in enumerate(others):
+            walk.extend(others[:i] + others[i + 1:])
             walk.append(nxt)
             yield from _loose_walks(
-                by_vertex, walk, used, end, remaining - 1, tick, colour_of, colours
+                index, walk, used | mask, end, remaining - 1, tick, colour_of, colours
             )
             del walk[-len(others):]
-        used -= others
         if colour_of is not None:
             colours.discard(c)
 
@@ -115,17 +126,15 @@ def _cycle_walks(g: Hypergraph, clock: _BudgetClock, colour_of=None):
     count = g.n // (g.k - 1)
     if count < 3 or len(g.edges) < count:
         return
+    full = _loose_index(g.n, g.edges)
     for anchor in g.edges:
-        by_vertex: dict[int, list[tuple[int, ...]]] = {}
-        for e in g.edges:
-            if e > anchor:
-                for v in e:
-                    by_vertex.setdefault(v, []).append(e)
+        index = [[entry for entry in entries if entry[2] > anchor] for entries in full]
+        mask = sum(1 << v for v in anchor)
         for entry, exit_ in combinations(anchor, 2):
             interior = [v for v in anchor if v != entry and v != exit_]
-            colours = {colour_of(anchor)} if colour_of else None
+            colours = {colour_of[anchor]} if colour_of else None
             for walk in _loose_walks(
-                by_vertex, [entry, *interior, exit_], set(anchor) - {entry},
+                index, [entry, *interior, exit_], mask & ~(1 << entry),
                 entry, count - 1, clock.tick, colour_of, colours,
             ):
                 yield walk[:-1]
@@ -148,7 +157,7 @@ def exists_rainbow_loose_hc(
 ) -> RainbowSearchResult:
     """First rainbow loose Hamilton cycle in enumeration order, if any."""
     clock = _BudgetClock(budget or EnumerationBudget())
-    for walk in _cycle_walks(g, clock, colour_of=chi.colour):
+    for walk in _cycle_walks(g, clock, colour_of=chi.by_edge):
         return RainbowSearchResult("found", LooseCycle(walk, g.k))
     return RainbowSearchResult("unknown" if clock.exhausted else "absent")
 
@@ -170,14 +179,12 @@ def find_loose_hamilton_path(
         raise InvalidInput(f"endpoints {a}, {b} must be distinct vertices")
     if not isinstance(forbidden_pairs, PairGraph):
         forbidden_pairs = PairGraph.from_pairs(forbidden_pairs)
-    allowed: dict[int, list[tuple[int, ...]]] = {}
-    for e in g.edges:
-        if forbidden_pairs.contained_pairs(e):
-            continue
-        for v in e:
-            allowed.setdefault(v, []).append(e)
+    edges = g.edges
+    if forbidden_pairs.edges:
+        edges = [e for e in edges if not forbidden_pairs.contained_pairs(e)]
+    index = _loose_index(g.n, edges)
     length = (g.n - 1) // (g.k - 1)
-    for walk in _loose_walks(allowed, [a], {a}, b, length, lambda: True):
+    for walk in _loose_walks(index, [a], 1 << a, b, length, lambda: True):
         return LoosePath(walk, g.k)
     return None
 
@@ -195,57 +202,58 @@ def find_tight_hamilton_cycle(
     if g.n < 3:
         return None
     n = g.n
+    rainbow = chi is not None
+    # third[a][b]: (c, colour of {a, b, c}) for every edge {a, b, c}, by c.
+    third: list[list[list[tuple[int, int | None]]]] = [
+        [[] for _ in range(n)] for _ in range(n)
+    ]
+    for e in g.edges:
+        colour = chi.by_edge[e] if rainbow else None
+        for a, b, c in permutations(e):
+            third[a][b].append((c, colour))
+    for row in third:
+        for entries in row:
+            entries.sort()
 
-    def windows_ok(order: list[int], colours: set[int], i: int) -> int | None:
-        """Colour of window ending at position i, or None if not an edge or
-        a repeated colour (when rainbow mode is on)."""
-        window = order[i - 2: i + 1]
-        if not g.contains(window):
-            return None
-        if chi is None:
-            return -1
-        c = chi.colour(window)
-        return None if c in colours else c
+    def closes(order: list[int], colours: set[int]) -> bool:
+        if order[1] > order[-1]:  # one direction per cyclic ordering
+            return False
+        closing: list[int] = []
+        for window in ((order[-2], order[-1], order[0]), (order[-1], order[0], order[1])):
+            if not g.contains(window):
+                return False
+            if rainbow:
+                c = chi.colour(window)
+                if c in colours or c in closing:
+                    return False
+                closing.append(c)
+        return True
 
-    def search(order: list[int], used: set[int], colours: set[int]):
-        i = len(order) - 1
-        if i >= 2:
-            c = windows_ok(order, colours, i)
-            if c is None:
-                return
-            if chi is not None:
-                colours.add(c)
+    def extend(order: list[int], used: int, colours: set[int]) -> tuple[int, ...] | None:
+        """First completion of order; each child closes a window that is an
+        edge, with a new colour in rainbow mode."""
         if len(order) == n:
-            closing = []
-            ok = order[1] < order[-1]  # one direction per cyclic ordering
-            if ok:
-                for j in range(2):
-                    window = [order[(n - 2 + j + d) % n] for d in range(3)]
-                    if not g.contains(window):
-                        ok = False
-                        break
-                    if chi is not None:
-                        c = chi.colour(window)
-                        if c in colours or c in closing:
-                            ok = False
-                            break
-                        closing.append(c)
-            if ok:
-                yield tuple(order)
-        else:
-            for v in sorted(set(range(n)) - used):
-                order.append(v)
-                used.add(v)
-                yield from search(order, used, colours)
-                used.discard(v)
-                order.pop()
-        if i >= 2 and chi is not None:
-            colours.discard(c)
+            return tuple(order) if closes(order, colours) else None
+        for v, c in third[order[-2]][order[-1]]:
+            if used >> v & 1 or c in colours:
+                continue
+            order.append(v)
+            if rainbow:
+                colours.add(c)
+            found = extend(order, used | 1 << v, colours)
+            if rainbow:
+                colours.discard(c)
+            order.pop()
+            if found is not None:
+                return found
+        return None
 
-    for ordering in search([0], {0}, set()):
-        result = validate_tight_cycle(g, ordering)
-        assert isinstance(result, TightCycle)
-        return result
+    for second in range(1, n):
+        ordering = extend([0, second], 1 | 1 << second, set())
+        if ordering is not None:
+            result = validate_tight_cycle(g, ordering)
+            assert isinstance(result, TightCycle)
+            return result
     return None
 
 

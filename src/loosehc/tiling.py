@@ -212,6 +212,16 @@ def sample_claim_partition(
         mean = centre + (k - 2) / mt
         low = min(low, math.floor(mean))
         high = max(high, math.ceil(mean))
+    # Every draw puts a whole number of vertices, at least 0, in each block;
+    # when no such sizes in the window add up to the free count, every draw
+    # would fail "part-sizes", so none is made.
+    smallest, largest = max(0, math.ceil(low)), math.floor(high)
+    if not mt * smallest <= len(free) <= mt * largest:
+        raise TilingInfeasible(
+            "claim-partition",
+            f"part-sizes: no {mt} block sizes in [{smallest}, {largest}] "
+            f"add up to {len(free)}, the number of free vertices",
+        )
     bad_cap = t ** 3 * k ** 3
     stats = ClaimStats()
     if structural:

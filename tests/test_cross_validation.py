@@ -12,6 +12,7 @@ from loosehc.oracles import (
     enumerate_loose_hamilton_cycles,
     exists_rainbow_loose_hc,
     find_loose_hamilton_path,
+    find_tight_hamilton_cycle,
 )
 from loosehc.rng import stream
 
@@ -95,3 +96,38 @@ def test_rainbow_search_matches_filtered_enumeration():
             assert isinstance(witness, LooseCycle)
             assert is_rainbow(chi, witness.edge_sequence)
             assert witness in set(rainbow)
+
+
+def brute_force_tight_cycle(g, chi=None):
+    """Lexicographically first ordering starting at 0 with order[1] <
+    order[-1] whose every cyclic window of three is an edge (of pairwise
+    distinct colours under chi), by trying every permutation."""
+    n = g.n
+    for rest in permutations(range(1, n)):
+        order = (0, *rest)
+        if order[1] > order[-1]:
+            continue
+        windows = [tuple(sorted(order[(i + d) % n] for d in range(3))) for i in range(n)]
+        if not all(w in g.edge_set for w in windows):
+            continue
+        if chi is not None and len({chi.by_edge[w] for w in windows}) < n:
+            continue
+        return order
+    return None
+
+
+def test_tight_oracle_witness_matches_bruteforce_on_random_graphs():
+    outcomes = set()
+    for seed in range(40):
+        gen = stream(seed, "tight-oracle-graphs")
+        n = 5 + seed % 4
+        full = Hypergraph.complete(n, 3)
+        keep = [e for e in full.edges if gen.random() < 0.75]
+        g = Hypergraph.from_edges(n, 3, keep)
+        chi = Colouring(g, tuple(int(gen.integers(n + 3)) for _ in keep))
+        for colouring in (None, chi):
+            found = find_tight_hamilton_cycle(g, colouring)
+            expected = brute_force_tight_cycle(g, colouring)
+            assert (found.vertices if found else None) == expected, (seed, colouring)
+            outcomes.add((colouring is None, expected is None))
+    assert len(outcomes) == 4  # found and absent, with and without colours

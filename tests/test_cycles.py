@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loosehc.cycles import (
     LooseCycle,
@@ -102,6 +103,41 @@ def test_canonical_form_sorts_interiors():
     seq_b = (0, 2, 1, 3, 4, 5, 6, 7, 8)
     assert LooseCycle(seq_a, 4) == LooseCycle(seq_b, 4)
     assert LooseCycle(seq_a, 4).edge_sequence == LooseCycle(seq_b, 4).edge_sequence
+
+
+def reference_canonical(seq, k):
+    """The least candidate over every rotation by whole edges of both
+    directions, each taken only when it starts at its least edge, with
+    edge interiors sorted."""
+    n, step = len(seq), k - 1
+    candidates = []
+    for direction in (list(seq), [seq[0], *reversed(seq[1:])]):
+        for r in range(0, n, step):
+            rotated = direction[r:] + direction[:r]
+            ring = rotated + rotated[:1]
+            edges = [sorted(ring[i: i + k]) for i in range(0, n, step)]
+            if edges[0] != min(edges):
+                continue
+            normal = []
+            for i in range(0, n, step):
+                normal += [rotated[i], *sorted(rotated[i + 1: i + step])]
+            candidates.append(tuple(normal))
+    return min(candidates)
+
+
+@st.composite
+def cycle_sequences(draw):
+    k = draw(st.sampled_from([3, 4, 5]))
+    n = draw(st.integers(3, 6)) * (k - 1)
+    labels = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
+    return labels, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(cycle_sequences())
+def test_canonical_form_matches_reference(case):
+    seq, k = case
+    assert LooseCycle(tuple(seq), k).vertices == reference_canonical(seq, k)
 
 
 def test_subpath_run_and_entry_exit():

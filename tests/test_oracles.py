@@ -5,6 +5,7 @@ import pytest
 
 from loosehc import oracles
 from loosehc.colouring import Colouring
+from loosehc.constructions import first_prefix_colouring
 from loosehc.cycles import LooseCycle, LoosePath, validate_loose_cycle
 from loosehc.graphs import Digraph, PairGraph
 from loosehc.hypergraph import Hypergraph, InvalidInput
@@ -53,6 +54,7 @@ def test_enumeration_count_k8():
     result = enumerate_loose_hamilton_cycles(g)
     assert result.complete
     assert len(result.cycles) == 5040
+    assert result.nodes == 10_824  # one node per extension step, as budgets count
 
 
 def test_enumeration_trivial_cases():
@@ -83,6 +85,14 @@ def test_enumeration_budget_partial():
     g = Hypergraph.complete(8, 3)
     result = enumerate_loose_hamilton_cycles(g, EnumerationBudget(node_limit=50))
     assert not result.complete
+
+
+def test_enumeration_budget_keeps_the_cycles_found_before_the_limit():
+    g = first_prefix_colouring(8, 3).graph
+    result = enumerate_loose_hamilton_cycles(g, EnumerationBudget(node_limit=1000))
+    assert not result.complete
+    assert result.nodes == 1001  # the node past the limit stops the search
+    assert len(result.cycles) == 850
 
 
 def test_find_loose_hamilton_path_examples():

@@ -1,5 +1,7 @@
 import pytest
 
+from loosehc import tiling
+from loosehc.constructions import first_prefix_colouring
 from loosehc.graphs import PairGraph
 from loosehc.hypergraph import Hypergraph, InvalidInput, Parameters, PipelineConfig
 from loosehc.tiling import (
@@ -204,6 +206,22 @@ def test_build_tiling_divisibility_rejection():
     with pytest.raises(TilingInfeasible) as err:
         build_path_tiling(req, PARAMS, PipelineConfig(seed=0))
     assert err.value.stage == "divisibility"
+
+
+def test_strict_claim_refuses_an_empty_size_window_without_drawing(monkeypatch):
+    # At t = 1 the strict window (t - 1)(k - 1) +- beta t is [-0.5, 0.5], so
+    # every block must stay empty, but four pairs and three reservoir
+    # vertices leave one of the 12 vertices free.
+    g = first_prefix_colouring(12, 3).graph
+    req = TilingRequest(g, tuple((3 * i, 3 * i + 1) for i in range(4)), PairGraph.empty(), 1)
+    keys = []
+    real_stream = tiling.stream
+    monkeypatch.setattr(tiling, "stream", lambda *key: keys.append(key) or real_stream(*key))
+    with pytest.raises(TilingInfeasible) as err:
+        build_path_tiling(req, PARAMS, PipelineConfig(seed=1, structural=False))
+    assert err.value.stage == "claim-partition"
+    assert err.value.detail.startswith("part-sizes: no 4 block sizes in [0, 0] add up to 1")
+    assert [key for key in keys if "claim-partition" in key] == []
 
 
 def test_validate_path_tiling_catches_bad_endpoints():
