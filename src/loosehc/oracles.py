@@ -63,14 +63,17 @@ class RainbowSearchResult:
     witness: LooseCycle | TightCycle | None = None
 
 
-def _loose_index(n: int, edges) -> list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]]:
+def _loose_index(n: int, edges, banned=()) -> list[list[tuple]]:
     """For each vertex v, (mask, others, e) for the edges e through v in the
-    given order: mask has a bit per vertex of e, others is e without v."""
-    index: list[list] = [[] for _ in range(n)]
+    given order: mask has a bit per vertex of e, others is e without v.
+    Edges whose mask covers a mask in `banned` are left out."""
+    index: list[list[tuple]] = [[] for _ in range(n)]
     for e in edges:
         mask = 0
         for v in e:
             mask |= 1 << v
+        if banned and any(mask & b == b for b in banned):
+            continue
         for i, v in enumerate(e):
             index[v].append((mask, e[:i] + e[i + 1:], e))
     return index
@@ -179,10 +182,9 @@ def find_loose_hamilton_path(
         raise InvalidInput(f"endpoints {a}, {b} must be distinct vertices")
     if not isinstance(forbidden_pairs, PairGraph):
         forbidden_pairs = PairGraph.from_pairs(forbidden_pairs)
-    edges = g.edges
-    if forbidden_pairs.edges:
-        edges = [e for e in edges if not forbidden_pairs.contained_pairs(e)]
-    index = _loose_index(g.n, edges)
+    # A pair with a vertex outside the host lies in no edge.
+    banned = [1 << u | 1 << v for u, v in forbidden_pairs.edges if 0 <= u and v < g.n]
+    index = _loose_index(g.n, g.edges, banned)
     length = (g.n - 1) // (g.k - 1)
     for walk in _loose_walks(index, [a], 1 << a, b, length, lambda: True):
         return LoosePath(walk, g.k)

@@ -198,6 +198,10 @@ def sample_claim_partition(
     prefix of attempts: with very few blocks they can be unsatisfiable
     outright, while the downstream spanning-path oracle enforces conflict
     avoidance regardless.  Any relaxation is recorded in the stats.
+
+    When no whole block sizes in the window add up to the number of free
+    vertices, every draw would fail "part-sizes", so the sampler refuses
+    before its first draw.
     """
     g, k, t = req.graph, req.graph.k, req.path_len
     mt = req.pair_count
@@ -212,9 +216,6 @@ def sample_claim_partition(
         mean = centre + (k - 2) / mt
         low = min(low, math.floor(mean))
         high = max(high, math.ceil(mean))
-    # Every draw puts a whole number of vertices, at least 0, in each block;
-    # when no such sizes in the window add up to the free count, every draw
-    # would fail "part-sizes", so none is made.
     smallest, largest = max(0, math.ceil(low)), math.floor(high)
     if not mt * smallest <= len(free) <= mt * largest:
         raise TilingInfeasible(

@@ -122,6 +122,9 @@ def test_find_loose_hamilton_path_avoids_forbidden_pairs():
     assert p is not None
     for e in p.edges:
         assert not forbidden.contained_pairs(e)
+    # Pairs outside the host's vertices forbid nothing.
+    outside = [(-1, 2), (3, 40)]
+    assert find_loose_hamilton_path(g, 0, 1, outside) == find_loose_hamilton_path(g, 0, 1)
 
 
 def test_exists_rainbow_loose_hc():
