@@ -156,7 +156,7 @@ class LooseCycle:
         return self.vertices[index % self.n]
 
     def edges_avoiding(self, banned: frozenset[int]) -> list[tuple[int, ...]]:
-        return [e for e in self.edge_sequence if not banned & set(e)]
+        return [e for e in self.edge_sequence if banned.isdisjoint(e)]
 
 
 def validate_loose_cycle(g: Hypergraph, ordering: Sequence[int]) -> LooseCycle | Violation:

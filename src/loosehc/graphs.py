@@ -3,6 +3,7 @@ and plain graphs used as conflict constraints."""
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable
 
 
@@ -71,5 +72,9 @@ class PairGraph:
         )
 
     def contained_pairs(self, vertices: Iterable[int]) -> bool:
-        """True iff some edge of this graph lies inside the vertex set."""
-        return bool(self.edges_inside(vertices))
+        """True iff some edge of this graph lies inside the vertex set.
+
+        Looks up the pairs of the set, so a small set costs little
+        whatever the size of the graph.
+        """
+        return any(pair in self.edges for pair in combinations(sorted(set(vertices)), 2))

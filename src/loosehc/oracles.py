@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Iterable
 
-from .colouring import Colouring
+from .colouring import Colouring, is_rainbow
 from .cycles import LooseCycle, LoosePath, TightCycle, validate_tight_cycle
 from .graphs import Digraph, PairGraph
 from .hypergraph import Hypergraph, InvalidInput
@@ -264,6 +264,9 @@ def exists_rainbow_tight_hc(g: Hypergraph, chi: Colouring) -> RainbowSearchResul
     witness = find_tight_hamilton_cycle(g, chi)
     if witness is None:
         return RainbowSearchResult("absent")
+    order, n = witness.vertices, len(witness.vertices)
+    windows = [tuple(order[(i + j) % n] for j in range(g.k)) for i in range(n)]
+    assert is_rainbow(chi, windows), f"tight witness {order} is not rainbow"
     return RainbowSearchResult("found", witness)
 
 

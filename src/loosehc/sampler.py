@@ -10,6 +10,7 @@ by deterministic scans of the realized sample.
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb, sqrt
 
@@ -31,7 +32,6 @@ from .splitting import (
     Rerouting,
     Splitting,
     TransversePartition,
-    entry_exit_by_path,
     is_suitable,
     is_viable,
     partition_is_transverse,
@@ -76,15 +76,27 @@ def is_spread(cycle: LooseCycle, vertices, path_len: int) -> bool:
 
 @dataclass(frozen=True)
 class SampledSplitting:
-    """An anchored path plus the paths grown from an edge sample."""
+    """An anchored path plus the edge sample its other paths grow from.
+
+    The paths are grown on first use, so a sample rejected on its size
+    alone never builds them.
+    """
 
     cycle: LooseCycle
     anchor: LoosePath
     sampled_positions: tuple[int, ...]
-    paths: tuple[LoosePath, ...]
+    path_len: int
     edge_prob: float
 
-    @property
+    @cached_property
+    def paths(self) -> tuple[LoosePath, ...]:
+        """A forward path of path_len edges from each sampled position."""
+        return tuple(
+            increasing_path(self.cycle, self.cycle.edge_sequence[i], self.path_len)
+            for i in self.sampled_positions
+        )
+
+    @cached_property
     def all_paths(self) -> tuple[LoosePath, ...]:
         """All paths with the anchor at index 0 and the rest following the
         host's cyclic order from the anchor's position.  (The rerouting
@@ -93,10 +105,15 @@ class SampledSplitting:
         start = run[0] if run is not None else 0
         c = self.cycle.edge_count
         order = sorted(
-            range(len(self.paths)),
+            range(len(self.sampled_positions)),
             key=lambda i: (self.sampled_positions[i] - start) % c,
         )
         return (self.anchor, *(self.paths[i] for i in order))
+
+    @property
+    def size(self) -> int:
+        """Number of paths, the anchor included, without growing them."""
+        return len(self.sampled_positions) + 1
 
     @property
     def sampled_vertices(self) -> frozenset[int]:
@@ -116,19 +133,21 @@ def sample_splitting(
     trial: int = 0,
 ) -> SampledSplitting:
     """Bernoulli-sample the cycle's edges with probability
-    (path_count-1)*(k-1)/n and grow a forward path of the given length
-    from each sampled edge.  Deterministic given (seed, trial)."""
+    (path_count-1)*(k-1)/n; a forward path of the given length grows from
+    each sampled edge when the sample's paths are first read.
+    Deterministic given (seed, trial)."""
     n, k = cycle.n, cycle.k
     p = (path_count - 1) * (k - 1) / n
     if p > 1:
         raise InvalidInput(f"edge probability {p} exceeds 1")
+    if not 1 <= path_len <= cycle.edge_count:
+        raise InvalidInput(
+            f"path length must lie in [1, {cycle.edge_count}], got {path_len}"
+        )
     gen = stream(seed, "edge-sample", trial)
     draws = gen.random(cycle.edge_count)
     positions = tuple(i for i in range(cycle.edge_count) if draws[i] < p)
-    paths = tuple(
-        increasing_path(cycle, cycle.edge_sequence[i], path_len) for i in positions
-    )
-    return SampledSplitting(cycle, anchor, positions, paths, p)
+    return SampledSplitting(cycle, anchor, positions, path_len, p)
 
 
 @dataclass
@@ -277,8 +296,8 @@ def accept_suitable(
     none of the rejection events fire.  Acceptance implies suitability for
     the anchor, which is asserted rather than trusted."""
     reasons: list[str] = []
-    if len(sample.all_paths) != params.split_size:
-        reasons.append(f"size: {len(sample.all_paths)} paths, want {params.split_size}")
+    if sample.size != params.split_size:
+        reasons.append(f"size: {sample.size} paths, want {params.split_size}")
         return AcceptanceResult(False, reasons)
     checked = validate_splitting(
         sample.cycle, sample.all_paths, "balanced", params.path_len
@@ -341,7 +360,7 @@ def partition_conditions(
     (threshold + 5*epsilon/8) * m^(k-j) into every part.
     Structural mode gates on exit-quota alone.
     """
-    entries, exits = entry_exit_by_path(splitting)
+    entries, exits = splitting.entries, splitting.exits
     conditions: dict[str, bool] = {}
     witnesses: dict[str, object] = {}
     m = splitting.size
@@ -407,7 +426,7 @@ def build_aux_digraph(
     if not paths_in_cyclic_order(splitting):
         raise InvalidInput("paths must be indexed in cyclic order around the host")
     m = splitting.size
-    _, exits = entry_exit_by_path(splitting)
+    exits = splitting.exits
     part_of = partition.part_of
     arcs = [
         (i, ip)
@@ -436,7 +455,7 @@ def build_viable_partition(
         raise InvalidInput("dicycle must span all path indices")
     if not paths_in_cyclic_order(splitting):
         raise InvalidInput("paths must be indexed in cyclic order around the host")
-    entries, exits = entry_exit_by_path(splitting)
+    entries, exits = splitting.entries, splitting.exits
     part_count = len(partition.parts)
     quota, rem = divmod(m, part_count)
     if rem:

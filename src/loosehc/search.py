@@ -13,7 +13,7 @@ error.
 from dataclasses import dataclass, field, replace
 
 from .colouring import Colouring, is_rainbow
-from .cycles import LooseCycle, increasing_path, validate_loose_cycle
+from .cycles import LooseCycle, Violation, increasing_path, validate_loose_cycle
 from .hypergraph import Hypergraph, InvalidInput, Parameters, PipelineConfig
 from .oracles import uniform_random_hamilton_cycle
 from .rng import child_seed
@@ -42,7 +42,7 @@ def find_conflicts(cycle: LooseCycle, chi: Colouring, path_len: int) -> list[Con
     """
     positions_by_colour: dict[int, list[int]] = {}
     for pos, e in enumerate(cycle.edge_sequence):
-        positions_by_colour.setdefault(chi.colour(e), []).append(pos)
+        positions_by_colour.setdefault(chi.by_edge[e], []).append(pos)
     c = cycle.edge_count
     conflicts = []
     for colour, positions in positions_by_colour.items():
@@ -90,11 +90,10 @@ def _conflicts_avoiding(cycle: LooseCycle, chi: Colouring, banned: frozenset[int
     seen: dict[int, int] = {}
     pairs = 0
     for e in cycle.edge_sequence:
-        if banned & set(e):
-            continue
-        colour = chi.colour(e)
-        pairs += seen.get(colour, 0)
-        seen[colour] = seen.get(colour, 0) + 1
+        if banned.isdisjoint(e):
+            colour = chi.by_edge[e]
+            pairs += seen.get(colour, 0)
+            seen[colour] = seen.get(colour, 0) + 1
     return pairs
 
 
@@ -113,6 +112,8 @@ def find_rainbow_hamilton_cycle(
     """
     if g.n % (g.k - 1) != 0:
         raise InvalidInput(f"(k-1) = {g.k - 1} must divide n = {g.n}")
+    if start is not None and isinstance(validate_loose_cycle(g, start.vertices), Violation):
+        raise InvalidInput("the start cycle is not a loose Hamilton cycle of the host")
     log = SearchLog()
     cycle = start if start is not None else uniform_random_hamilton_cycle(
         g, child_seed(seed, "search-start")

@@ -75,6 +75,50 @@ class Splitting:
     def path_of(self) -> dict[int, int]:
         return {v: i for i, p in enumerate(self.paths) for v in p.vertices}
 
+    @cached_property
+    def _ends(self) -> tuple[tuple[int, int], ...]:
+        return tuple(entry_exit(self.host, p) for p in self.paths)
+
+    @cached_property
+    def entries(self) -> tuple[int, ...]:
+        """Each path's endpoint met first in the host's orientation."""
+        return tuple(entry for entry, _ in self._ends)
+
+    @cached_property
+    def exits(self) -> tuple[int, ...]:
+        """Each path's endpoint met last in the host's orientation."""
+        return tuple(exit_ for _, exit_ in self._ends)
+
+    @cached_property
+    def host_arcs(self) -> tuple[tuple[int, ...], ...]:
+        """The maximal stretches of the host that avoid the interiors, as
+        vertex runs.  There is exactly one arc between consecutive paths."""
+        host = self.host
+        banned = self.interiors
+        if not banned:
+            raise InvalidInput(
+                "splitting has no interior vertices; the host cannot be cut "
+                "(needs k >= 3 or paths of length >= 2)"
+            )
+        c = host.edge_count
+        kept = [i for i in range(c) if banned.isdisjoint(host.edge_sequence[i])]
+        if not kept:
+            raise InvalidInput("no edges of the host survive outside the interiors")
+        kept_set = set(kept)
+        arcs: list[tuple[int, ...]] = []
+        k = host.k
+        for start in kept:
+            if (start - 1) % c in kept_set:
+                continue
+            run = 1
+            while (start + run) % c in kept_set:
+                run += 1
+            first = start * (k - 1)
+            arcs.append(
+                tuple(host.vertex_at(first + i) for i in range(run * (k - 1) + 1))
+            )
+        return tuple(arcs)
+
     def index_of(self, path: LoosePath) -> int | None:
         for i, p in enumerate(self.paths):
             if same_path(p, path):
@@ -179,36 +223,6 @@ class Rerouting:
         return out
 
 
-def host_arcs(splitting: Splitting) -> list[tuple[int, ...]]:
-    """The maximal stretches of the host that avoid the splitting interiors,
-    as vertex runs.  There is exactly one arc between consecutive paths."""
-    host = splitting.host
-    banned = splitting.interiors
-    if not banned:
-        raise InvalidInput(
-            "splitting has no interior vertices; the host cannot be cut "
-            "(needs k >= 3 or paths of length >= 2)"
-        )
-    c = host.edge_count
-    kept = [i for i in range(c) if not banned & set(host.edge_sequence[i])]
-    if not kept:
-        raise InvalidInput("no edges of the host survive outside the interiors")
-    kept_set = set(kept)
-    arcs: list[tuple[int, ...]] = []
-    k = host.k
-    for start in kept:
-        if (start - 1) % c in kept_set:
-            continue
-        run = 1
-        while (start + run) % c in kept_set:
-            run += 1
-        first = start * (k - 1)
-        arcs.append(
-            tuple(host.vertex_at(first + i) for i in range(run * (k - 1) + 1))
-        )
-    return arcs
-
-
 def _normalize_pairs(pairs: Iterable[Iterable[int]]) -> tuple[tuple[int, int], ...]:
     out = []
     for p in pairs:
@@ -231,7 +245,7 @@ def validate_rerouting(
             "not-a-pairing",
             f"pairs must partition the endvertices {sorted(splitting.endvertices)}",
         )
-    arcs = host_arcs(splitting)
+    arcs = splitting.host_arcs
     if len(arcs) != splitting.size:
         raise InvalidInput(
             f"internal: {len(arcs)} arcs for {splitting.size} paths"
@@ -265,7 +279,7 @@ def rerouting_cycle_count(splitting: Splitting, pairs: Iterable[Iterable[int]]) 
     with one union per contracted pair.  The contracted multigraph is
     2-regular, so its cycle count equals its component count."""
     pairs = _normalize_pairs(pairs)
-    arcs = host_arcs(splitting)
+    arcs = splitting.host_arcs
     arc_of: dict[int, int] = {}
     for i, arc in enumerate(arcs):
         arc_of[arc[0]] = i
@@ -488,16 +502,6 @@ def is_suitable(
     return CheckReport(ok, conditions, witnesses)
 
 
-def entry_exit_by_path(splitting: Splitting) -> tuple[list[int], list[int]]:
-    """Endpoint labels per path, in the host's traversal orientation."""
-    entries, exits = [], []
-    for p in splitting.paths:
-        a, b = entry_exit(splitting.host, p)
-        entries.append(a)
-        exits.append(b)
-    return entries, exits
-
-
 def paths_in_cyclic_order(splitting: Splitting) -> bool:
     """True iff path indices follow the host's cyclic order (so that the
     untouched stretch after path i ends at path i+1)."""
@@ -525,7 +529,7 @@ def search_quota_rerouting(
     """
     m = splitting.size
     part_of = partition.part_of
-    entries, exits = entry_exit_by_path(splitting)
+    entries, exits = splitting.entries, splitting.exits
 
     quota = [0] * len(partition.parts)
     for v in entries:

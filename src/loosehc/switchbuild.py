@@ -35,7 +35,6 @@ from .splitting import (
     Splitting,
     Switching,
     TransversePartition,
-    host_arcs,
     is_feasible,
     is_switching,
     partition_is_transverse,
@@ -117,7 +116,7 @@ def _assemble_cycle(
     new_paths: list[LoosePath],
 ) -> LooseCycle:
     """Alternate the host's untouched stretches with the new paths."""
-    arcs = host_arcs(splitting)
+    arcs = splitting.host_arcs
     arc_at: dict[int, tuple[int, ...]] = {}
     for arc in arcs:
         arc_at[arc[0]] = arc
@@ -192,7 +191,7 @@ def build_feasible_switching(
         raise InvalidInput("rerouting does not meet the per-part pair quota")
 
     labels = part_labels(splitting, partition)
-    host_colours = {chi.colour(e) for e in host.edge_sequence}
+    host_colours = {chi.by_edge[e] for e in host.edge_sequence}
     untouched = host.edges_avoiding(splitting.interiors)
 
     new_paths: list[LoosePath] = []
@@ -287,7 +286,7 @@ def sample_switching(
         sample = sample_splitting(
             host, anchor, params.split_size, params.path_len, config.seed, trial
         )
-        if len(sample.all_paths) != params.split_size:
+        if sample.size != params.split_size:
             continue
         if config.require_events:
             outcome = accept_suitable(sample, g, chi, params)

@@ -225,21 +225,26 @@ def sample_claim_partition(
         )
     bad_cap = t ** 3 * k ** 3
     stats = ClaimStats()
+    # With a single block (or nothing to assign) the partition is unique:
+    # no draw is needed, and in structural mode the goodness gate is
+    # pointless.
+    forced = mt == 1 or not free
     if structural:
         # Goodness gates only an absolute prefix of the budget: it
         # expresses a preference, and re-applying it on every retry
-        # segment would starve the later stages.  With a single block (or
-        # nothing to assign) the partition is unique and the gate is
-        # pointless.
-        prefix = 0 if mt == 1 or not free else 100
+        # segment would starve the later stages.
+        prefix = 0 if forced else 100
         goodness_gate_until = min(prefix, config.claim_budget)
     else:
         goodness_gate_until = config.claim_budget
 
     for attempt in range(start_attempt, config.claim_budget):
         stats.attempts = attempt + 1
-        gen = stream(config.seed, "claim-partition", attempt)
-        assignment = gen.integers(mt, size=len(free))
+        if forced:
+            assignment = [0] * len(free)
+        else:
+            gen = stream(config.seed, "claim-partition", attempt)
+            assignment = gen.integers(mt, size=len(free))
         parts: list[set[int]] = [set() for _ in range(mt)]
         for v, p in zip(free, assignment):
             parts[int(p)].add(v)

@@ -6,7 +6,13 @@ import pytest
 from loosehc import oracles
 from loosehc.colouring import Colouring
 from loosehc.constructions import first_prefix_colouring
-from loosehc.cycles import LooseCycle, LoosePath, validate_loose_cycle
+from loosehc.cycles import (
+    LooseCycle,
+    LoosePath,
+    TightCycle,
+    validate_loose_cycle,
+    validate_tight_cycle,
+)
 from loosehc.graphs import Digraph, PairGraph
 from loosehc.hypergraph import Hypergraph, InvalidInput
 from loosehc.oracles import (
@@ -153,6 +159,18 @@ def test_tight_cycle_search():
     assert exists_rainbow_tight_hc(g, Colouring.constant(g)).status == "absent"
     with pytest.raises(InvalidInput):
         find_tight_hamilton_cycle(Hypergraph.complete(8, 4))
+
+
+def test_rainbow_tight_search_checks_its_witness(monkeypatch):
+    # A valid tight cycle of K_5^(3) whose windows repeat a colour must not
+    # be reported as a rainbow one, whatever the search returns.
+    g = Hypergraph.complete(5, 3)
+    chi = Colouring.constant(g)
+    cycle = validate_tight_cycle(g, range(5))
+    assert isinstance(cycle, TightCycle)
+    monkeypatch.setattr(oracles, "find_tight_hamilton_cycle", lambda g, chi: cycle)
+    with pytest.raises(AssertionError, match="not rainbow"):
+        exists_rainbow_tight_hc(g, chi)
 
 
 def test_uniform_random_cycle_reproducible():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -133,8 +134,8 @@ def test_check_events_adjacent_paths_are_close():
     chi = Colouring.injective(g)
     anchor = increasing_path(cycle, cycle.edge_sequence[0], 1)
     neighbour = increasing_path(cycle, cycle.edge_sequence[1], 1)
-    s_manual = sample_splitting(cycle, anchor, 3, 1, seed=0)
-    s = type(s_manual)(cycle, anchor, (1,), (neighbour,), s_manual.edge_prob)
+    s = replace(sample_splitting(cycle, anchor, 3, 1, seed=0), sampled_positions=(1,))
+    assert s.paths == (neighbour,)
     events = check_events(s, g, chi, epsilon=0.2, path_count=3)
     assert events.flags["close-paths"] is True
 
@@ -144,8 +145,8 @@ def test_check_events_degree_on_complete_host():
     chi = Colouring.injective(g)
     anchor = increasing_path(cycle, cycle.edge_sequence[0], 1)
     far = [increasing_path(cycle, cycle.edge_sequence[p], 1) for p in (5, 10)]
-    s0 = sample_splitting(cycle, anchor, 3, 1, seed=0)
-    s = type(s0)(cycle, anchor, (5, 10), tuple(far), s0.edge_prob)
+    s = replace(sample_splitting(cycle, anchor, 3, 1, seed=0), sampled_positions=(5, 10))
+    assert s.paths == tuple(far)
     events = check_events(s, g, chi, epsilon=0.2, path_count=3)
     # C(9-1, 2) = 28 >= (3*eps/4)*9^2 = 12.15 would fail; bound uses M = 9
     assert events.flags["low-sample-degree"] is False
@@ -232,8 +233,8 @@ def test_check_events_widening_flag():
     chi = Colouring.constant(g)
     anchor = increasing_path(cycle, cycle.edge_sequence[0], 1)
     far = [increasing_path(cycle, cycle.edge_sequence[p], 1) for p in (5, 10)]
-    s0 = sample_splitting(cycle, anchor, 3, 1, seed=0)
-    s = type(s0)(cycle, anchor, (5, 10), tuple(far), s0.edge_prob)
+    s = replace(sample_splitting(cycle, anchor, 3, 1, seed=0), sampled_positions=(5, 10))
+    assert s.paths == tuple(far)
     narrow = check_events(s, g, chi, epsilon=0.2, path_count=3)
     wide = check_events(s, g, chi, epsilon=0.2, path_count=3,
                         widen_to_all_transverse=True)
@@ -301,10 +302,7 @@ def test_exit_quota_frequency_matches_product_formula():
     assert exact == Fraction(2, 9)
 
     s = splitting_n12()
-    from loosehc.splitting import entry_exit_by_path
-
-    _, exits = entry_exit_by_path(s)
-    exit_set = set(exits)
+    exit_set = set(s.exits)
     trials = 4000
     hits = 0
     for i in range(trials):

@@ -1,13 +1,18 @@
+import math
 from dataclasses import replace
+
+import numpy as np
+import pytest
 
 from loosehc.colouring import Colouring, is_rainbow
 from loosehc.constructions import first_prefix_colouring
-from loosehc.cycles import LooseCycle, validate_loose_cycle
-from loosehc.hypergraph import Hypergraph, Parameters, PipelineConfig
+from loosehc.cycles import LooseCycle, increasing_path, validate_loose_cycle
+from loosehc.hypergraph import Hypergraph, InvalidInput, Parameters, PipelineConfig
 from loosehc.oracles import uniform_random_hamilton_cycle
 from loosehc.rng import child_seed, stream
 import loosehc.search as search
 from loosehc.search import find_conflicts, find_rainbow_hamilton_cycle
+from loosehc.switchbuild import sample_switching
 
 
 def desk_params():
@@ -90,6 +95,15 @@ def test_search_supplied_start_cycle():
     assert result.success
 
 
+def test_search_refuses_a_start_cycle_outside_the_host():
+    g = Hypergraph.from_edges(12, 3, [e for e in Hypergraph.complete(12, 3).edges
+                                      if e != (0, 1, 2)])
+    start = LooseCycle(tuple(range(12)), 3)
+    with pytest.raises(InvalidInput):
+        find_rainbow_hamilton_cycle(g, Colouring.injective(g), desk_params(), seed=0,
+                                    start=start)
+
+
 def test_search_resolves_forced_conflict_by_switching():
     # Force a conflict on the start cycle; at n = 12 the switching geometry
     # exists, so the step should go through an actual switching.
@@ -126,3 +140,50 @@ def test_search_passes_its_pipeline_config_to_each_step(monkeypatch):
     assert not result.success and result.restarts == 2
     assert [c.seed for c in received] == [child_seed(1, "search-step", s) for s in range(2)]
     assert all(replace(c, seed=pipeline.seed) == pipeline for c in received)
+
+
+def class_colouring(g, mu, seed):
+    """Edges in seeded random order, cut into classes of ceil(mu * n^2)."""
+    size = math.ceil(mu * g.n ** 2)
+    colours = np.empty(len(g.edges), dtype=np.int64)
+    colours[np.random.default_rng(seed).permutation(len(g.edges))] = (
+        np.arange(len(g.edges)) // size
+    )
+    return Colouring(g, tuple(colours.tolist()))
+
+
+# Seeded outputs of whole searches (n = 12 ones that cycle 500 steps or
+# restart included): a speed-up of a search step must leave every draw, and
+# so every output, as it is.
+PINNED_SEARCHES = {
+    (12, 1): ((6, 0, 7, 1, 8, 2, 10, 3, 11, 4, 9, 5), 500, 0),
+    (12, 6): ((0, 5, 1, 6, 3, 9, 11, 10, 7, 2, 8, 4), 1, 0),
+    (12, 9): ((0, 5, 9, 8, 2, 4, 6, 3, 1, 10, 11, 7), 163, 1),
+    (24, 1): ((9, 0, 23, 4, 13, 8, 3, 22, 5, 6, 16, 15, 11, 17, 1, 10, 12, 18, 19, 20,
+               14, 21, 7, 2), 1, 0),
+    (24, 6): ((0, 18, 1, 2, 3, 16, 21, 7, 15, 6, 20, 23, 14, 13, 9, 11, 12, 10, 17, 4,
+               19, 5, 8, 22), 14, 0),
+    (24, 9): ((15, 0, 16, 6, 1, 7, 21, 5, 9, 3, 4, 18, 19, 2, 8, 11, 14, 13, 10, 22,
+               23, 12, 20, 17), 1, 0),
+}
+
+
+def test_seeded_searches_are_pinned():
+    params = replace(desk_params(), mu=0.1)
+    for (n, seed), expected in PINNED_SEARCHES.items():
+        g = Hypergraph.complete(n, 3)
+        result = find_rainbow_hamilton_cycle(g, class_colouring(g, 0.1, seed), params, seed=seed)
+        assert (result.cycle.vertices, result.steps, result.restarts) == expected, (n, seed)
+
+
+def test_seeded_switching_is_pinned():
+    g = Hypergraph.complete(24, 3)
+    host = uniform_random_hamilton_cycle(g, 7)
+    anchor = increasing_path(host, host.edge_sequence[0], 1)
+    built = sample_switching(g, class_colouring(g, 0.1, 7), host, anchor,
+                             replace(desk_params(), mu=0.1),
+                             PipelineConfig(seed=7, sample_budget=400, partition_tries=10))
+    assert host.vertices == (0, 9, 17, 4, 19, 6, 3, 20, 1, 13, 15, 22, 18, 7, 2, 12, 5, 11,
+                             10, 23, 16, 8, 21, 14)
+    assert built.switching.new_cycle.vertices == (0, 7, 3, 20, 1, 13, 15, 22, 18, 6, 17, 4,
+                                                  19, 9, 2, 12, 5, 11, 10, 23, 16, 8, 21, 14)

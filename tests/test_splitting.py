@@ -9,7 +9,6 @@ from loosehc.splitting import (
     Rerouting,
     Splitting,
     TransversePartition,
-    host_arcs,
     is_suitable,
     is_switching,
     is_transverse,
@@ -79,7 +78,7 @@ def test_is_transverse():
 
 def test_host_arcs():
     s = h8_split()
-    arcs = {tuple(a) for a in host_arcs(s)}
+    arcs = {tuple(a) for a in s.host_arcs}
     assert arcs == {(2, 3, 4), (6, 7, 0)}
 
 

@@ -1,8 +1,10 @@
 import pytest
 
+from loosehc import sampler
 from loosehc.colouring import Colouring
 from loosehc.cycles import increasing_path, validate_loose_cycle
 from loosehc.hypergraph import Hypergraph, InvalidInput, Parameters
+from loosehc.sampler import sample_splitting
 from loosehc.splitting import (
     Splitting,
     TransversePartition,
@@ -236,3 +238,25 @@ def test_sample_switching_impossible_geometry_returns_none():
     result = sample_switching(g, chi, cycle, anchor, params,
                               PipelineConfig(seed=1, sample_budget=300))
     assert result is None
+
+
+def test_size_rejected_trials_grow_no_path(monkeypatch):
+    # Every trial before the first one with split_size - 1 sampled edges is
+    # rejected on its size, before a single path is grown from its sample.
+    g = Hypergraph.complete(24, 3)
+    cycle = validate_loose_cycle(g, range(24))
+    params = desk_params()
+    anchor = increasing_path(cycle, cycle.edge_sequence[0], 1)
+    sizes = []
+    while not sizes or sizes[-1] != params.split_size - 1:
+        sample = sample_splitting(cycle, anchor, params.split_size, 1, seed=5, trial=len(sizes))
+        sizes.append(len(sample.sampled_positions))
+    assert sum(sizes[:-1]) > 0
+    grown = []
+    real_path = sampler.increasing_path
+    monkeypatch.setattr(sampler, "increasing_path",
+                        lambda *args: grown.append(args) or real_path(*args))
+    result = sample_switching(g, Colouring.injective(g), cycle, anchor, params,
+                              PipelineConfig(seed=5, sample_budget=len(sizes) - 1))
+    assert result is None
+    assert grown == []

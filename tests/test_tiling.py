@@ -224,6 +224,18 @@ def test_strict_claim_refuses_an_empty_size_window_without_drawing(monkeypatch):
     assert [key for key in keys if "claim-partition" in key] == []
 
 
+def test_forced_claim_draws_no_stream(monkeypatch):
+    # With one pair every free vertex joins the only block, so the claim
+    # partition is forced and opens no stream.
+    req = request(7, [(0, 1)], t=3)
+    keys = []
+    real_stream = tiling.stream
+    monkeypatch.setattr(tiling, "stream", lambda *key: keys.append(key) or real_stream(*key))
+    tiling_ = build_path_tiling(req, PARAMS, PipelineConfig(seed=3))
+    assert validate_path_tiling(req, tiling_).ok
+    assert [key for key in keys if "claim-partition" in key] == []
+
+
 def test_validate_path_tiling_catches_bad_endpoints():
     req = request(7, [(0, 1)], t=3)
     tiling = build_path_tiling(req, PARAMS, PipelineConfig(seed=3))
