@@ -125,7 +125,7 @@ class LooseCycle:
 
     @property
     def edge_count(self) -> int:
-        return self.n // (self.k - 1)
+        return len(self.vertices) // (self.k - 1)
 
     @cached_property
     def edge_sequence(self) -> tuple[tuple[int, ...], ...]:
@@ -221,10 +221,14 @@ def subpath_run(cycle: LooseCycle, path: LoosePath) -> tuple[int, int] | None:
     return None
 
 
-def entry_exit(cycle: LooseCycle, path: LoosePath) -> tuple[int, int]:
+def entry_exit(
+    cycle: LooseCycle, path: LoosePath, run: tuple[int, int] | None = None
+) -> tuple[int, int]:
     """Endpoints of a sub-path in traversal order: the vertex met first when
-    walking the cycle's orientation into the path, then the one met last."""
-    run = subpath_run(cycle, path)
+    walking the cycle's orientation into the path, then the one met last.
+    A caller that already holds the path's subpath_run passes it as run."""
+    if run is None:
+        run = subpath_run(cycle, path)
     if run is None:
         raise InvalidInput("path is not a consecutive sub-path of the cycle")
     start, length = run

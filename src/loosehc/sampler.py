@@ -7,11 +7,12 @@ Randomness is confined to the samplers; every acceptance decision is made
 by deterministic scans of the realized sample.
 """
 
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import comb, sqrt
 
 from .colouring import Colouring
@@ -22,7 +23,6 @@ from .hypergraph import (
     InvalidInput,
     Parameters,
     edges_within,
-    j_degrees_within,
     relative_degree,
 )
 from .oracles import find_hamilton_dicycle
@@ -53,25 +53,14 @@ def vertices_close(cycle: LooseCycle, u: int, v: int, path_len: int) -> bool:
     """True iff some edge through u and some edge through v lie on a common
     sub-path of the cycle with at most 2*path_len + 1 edges."""
     c = cycle.edge_count
-    for a in cycle.positions_by_vertex[u]:
-        for b in cycle.positions_by_vertex[v]:
+    reach = 2 * path_len
+    positions = cycle.positions_by_vertex
+    for a in positions[u]:
+        for b in positions[v]:
             d = abs(a - b)
-            if min(d, c - d) <= 2 * path_len:
+            if d <= reach or c - d <= reach:
                 return True
     return False
-
-
-def close_pairs_within(cycle: LooseCycle, vertices, path_len: int):
-    """All close pairs inside a vertex set (as sorted 2-tuples)."""
-    vs = sorted(set(vertices))
-    return [
-        (u, v) for u, v in combinations(vs, 2)
-        if vertices_close(cycle, u, v, path_len)
-    ]
-
-
-def is_spread(cycle: LooseCycle, vertices, path_len: int) -> bool:
-    return not close_pairs_within(cycle, vertices, path_len)
 
 
 @dataclass(frozen=True)
@@ -173,57 +162,84 @@ def check_events(
 ) -> EventReport:
     """Deterministic checkers for the five rejection events of a sample.
 
-    heavy-colour-set: some spread (k-1)-set in the sampled vertices lies in
-    at least epsilon*m/4 edges (within the whole sample) that repeat a host
-    colour.  spread-colour-pair: two equal-coloured edges meeting in at
-    most one vertex whose union is spread inside the sampled vertices.
-    almost-spread-colour-pair: the disjoint variant with exactly one close
-    pair in the union.  low-sample-degree: the sample's induced j-degree
-    falls below (threshold + 3*epsilon/4) * M^(k-j).  close-paths: two
-    distinct paths carry close vertices.
+    A vertex set is spread when no two of its vertices are close in the
+    sense of vertices_close.  heavy-colour-set: some spread (k-1)-set in
+    the sampled vertices lies in at least epsilon*m/4 edges (within the
+    whole sample) that repeat a host colour.  spread-colour-pair: two
+    equal-coloured edges meeting in at most one vertex whose union is
+    spread inside the sampled vertices.  almost-spread-colour-pair: the
+    disjoint variant with exactly one close pair in the union.
+    low-sample-degree: the sample's induced j-degree falls below
+    (threshold + 3*epsilon/4) * M^(k-j).  close-paths: two distinct paths
+    carry close vertices.
 
     With widen_to_all_transverse the first event scans transverse sets
     instead of spread ones (a stricter desk-scale variant).
+
+    Cost: one call enumerates the edges induced on the sample's vertices
+    once, and reads each edge's colour once.  The heavy-set counts, the
+    colour buckets of the sampled vertices and the j-degrees all come from
+    that one list.  Each vertex pair goes through vertices_close at most
+    once per call.  Every witness is the first hit of the lexicographic
+    scan that the definitions above describe.
     """
     cycle, t = sample.cycle, sample.anchor.length
     k, m = g.k, path_count
     flags: dict[str, bool] = {}
     witnesses: dict[str, object] = {}
-    sampled = sorted(sample.sampled_vertices)
+    sampled_set = sample.sampled_vertices
+    sampled = sorted(sampled_set)
     everything = sorted(sample.vertices)
-    host_colours = {chi.colour(e) for e in cycle.edge_sequence}
+    colour_of = chi.by_edge
+    host_colours = set(map(colour_of.__getitem__, cycle.edge_sequence))
 
-    path_index: dict[int, int] = {}
-    for i, path in enumerate(sample.all_paths):
-        for v in path.vertices:
-            path_index.setdefault(v, i)
+    closeness: dict[tuple[int, int], bool] = {}
 
-    def scan_sets():
-        for s in combinations(sampled, k - 1):
-            if widen_to_all_transverse:
-                if len({path_index[v] for v in s}) == len(s):
-                    yield s
-            elif is_spread(cycle, s, t):
-                yield s
+    def close(u: int, v: int) -> bool:
+        key = (u, v) if u < v else (v, u)
+        hit = closeness.get(key)
+        if hit is None:
+            hit = closeness[key] = vertices_close(cycle, u, v, t)
+        return hit
+
+    induced = edges_within(g, everything)
+    heavy_sets: list[tuple[int, ...]] = []
+    inside: list[tuple[tuple[int, ...], int]] = []
+    for e in induced:
+        colour = colour_of[e]
+        if colour in host_colours:
+            heavy_sets.extend(s for s in combinations(e, k - 1) if sampled_set.issuperset(s))
+        if sampled_set.issuperset(e):
+            inside.append((e, colour))
+    heavy_counts = Counter(heavy_sets)
+    degrees = Counter(chain.from_iterable(map(combinations, induced, repeat(j))))
+    if comb(len(sampled), k) < len(g.edges):
+        inside.sort()  # the order in which edges_within(g, sampled) lists them
+
+    if widen_to_all_transverse:
+        path_index: dict[int, int] = {}
+        for i, path in enumerate(sample.all_paths):
+            for v in path.vertices:
+                path_index.setdefault(v, i)
+
+        def eligible(s) -> bool:
+            return len({path_index[v] for v in s}) == len(s)
+    else:
+        def eligible(s) -> bool:
+            return not any(close(u, v) for u, v in combinations(s, 2))
 
     flags["heavy-colour-set"] = False
     allowance = epsilon * m / 4
-    for s in scan_sets():
-        count = 0
-        for v in everything:
-            if v in s:
-                continue
-            e = tuple(sorted((*s, v)))
-            if e in g.edge_set and chi.colour(e) in host_colours:
-                count += 1
-        if count >= allowance:
+    for s in combinations(sampled, k - 1):
+        count = heavy_counts.get(s, 0)
+        if count >= allowance and eligible(s):
             flags["heavy-colour-set"] = True
             witnesses["heavy-colour-set"] = {"set": s, "count": count}
             break
 
     by_colour: dict[int, list[tuple[int, ...]]] = {}
-    for e in edges_within(g, sampled):
-        by_colour.setdefault(chi.colour(e), []).append(e)
+    for e, colour in inside:
+        by_colour.setdefault(colour, []).append(e)
     flags["spread-colour-pair"] = False
     flags["almost-spread-colour-pair"] = False
     for colour, edges in by_colour.items():
@@ -233,12 +249,12 @@ def check_events(
             cut = len(set(e) & set(f))
             if cut > 1:
                 continue
-            union = set(e) | set(f)
-            close = close_pairs_within(cycle, union, t)
-            if not close and not flags["spread-colour-pair"]:
+            union = sorted(set(e) | set(f))
+            close_count = sum(close(u, v) for u, v in combinations(union, 2))
+            if not close_count and not flags["spread-colour-pair"]:
                 flags["spread-colour-pair"] = True
                 witnesses["spread-colour-pair"] = {"colour": colour, "pair": (e, f)}
-            if cut == 0 and len(close) == 1 and not flags["almost-spread-colour-pair"]:
+            if cut == 0 and close_count == 1 and not flags["almost-spread-colour-pair"]:
                 flags["almost-spread-colour-pair"] = True
                 witnesses["almost-spread-colour-pair"] = {"colour": colour, "pair": (e, f)}
         if flags["spread-colour-pair"] and flags["almost-spread-colour-pair"]:
@@ -247,7 +263,6 @@ def check_events(
     part_count = t * (k - 1) + 1
     sample_vertex_target = part_count * m
     bound = (threshold + 3 * epsilon / 4) * sample_vertex_target ** (k - j)
-    degrees = j_degrees_within(g, everything, j)
     flags["low-sample-degree"] = False
     for s in combinations(everything, j):
         deg = degrees[s]
@@ -257,19 +272,13 @@ def check_events(
             break
 
     flags["close-paths"] = False
-    paths = sample.all_paths
-    for i, j2 in combinations(range(len(paths)), 2):
-        stop = False
-        for u in paths[i].vertices:
-            for v in paths[j2].vertices:
-                if vertices_close(cycle, u, v, t):
-                    flags["close-paths"] = True
-                    witnesses["close-paths"] = {"paths": (i, j2), "pair": (u, v)}
-                    stop = True
-                    break
-            if stop:
-                break
-        if stop:
+    for (i, p), (i2, q) in combinations(enumerate(sample.all_paths), 2):
+        pair = next(
+            ((u, v) for u in p.vertices for v in q.vertices if close(u, v)), None
+        )
+        if pair is not None:
+            flags["close-paths"] = True
+            witnesses["close-paths"] = {"paths": (i, i2), "pair": pair}
             break
 
     return EventReport(flags, witnesses)

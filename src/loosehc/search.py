@@ -17,7 +17,6 @@ from .cycles import LooseCycle, Violation, increasing_path, validate_loose_cycle
 from .hypergraph import Hypergraph, InvalidInput, Parameters, PipelineConfig
 from .oracles import uniform_random_hamilton_cycle
 from .rng import child_seed
-from .splitting import is_feasible, is_switching
 from .switchbuild import sample_switching
 
 
@@ -146,13 +145,11 @@ def find_rainbow_hamilton_cycle(
             log.note(step=step, action="restart", conflicts=len(conflicts))
             continue
 
+        # The builder ran is_switching and is_feasible on this very switching.
         switching = built.switching
-        report = is_switching(
-            switching.anchor, switching.host, switching.splitting,
-            switching.new_cycle, switching.new_splitting, graph=g,
-        )
+        report = built.switching_report
         assert report.ok, f"pipeline produced a non-switching: {report}"
-        feasible = is_feasible(switching, chi)
+        feasible = built.feasibility
         assert feasible.ok, f"pipeline produced an infeasible switching: {feasible}"
         before = _conflicts_avoiding(cycle, chi, anchor.vertex_set)
         after = _conflicts_avoiding(switching.new_cycle, chi, anchor.vertex_set)

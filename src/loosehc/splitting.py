@@ -76,8 +76,16 @@ class Splitting:
         return {v: i for i, p in enumerate(self.paths) for v in p.vertices}
 
     @cached_property
+    def runs(self) -> tuple[tuple[int, int] | None, ...]:
+        """Each path's subpath_run on the host: (first edge position,
+        length), or None if it is not a consecutive sub-path."""
+        return tuple(subpath_run(self.host, p) for p in self.paths)
+
+    @cached_property
     def _ends(self) -> tuple[tuple[int, int], ...]:
-        return tuple(entry_exit(self.host, p) for p in self.paths)
+        return tuple(
+            entry_exit(self.host, p, run) for p, run in zip(self.paths, self.runs)
+        )
 
     @cached_property
     def entries(self) -> tuple[int, ...]:
@@ -432,11 +440,13 @@ def is_suitable(
     conditions: dict[str, bool] = {}
     witnesses: dict[str, object] = {}
 
-    host_colours = {chi.colour(e) for e in splitting.host.edge_sequence}
+    colour_of = chi.by_edge
+    host_colours = set(map(colour_of.__getitem__, splitting.host.edge_sequence))
     split_vertices = sorted(splitting.vertex_set)
     other_paths = [i for i in range(m) if i != anchor_index]
     allowance = epsilon * m / 4
 
+    edge_set = g.edge_set
     conditions["heavy-colour-set"] = True
     for s in _transverse_subsets(splitting, other_paths, k - 1):
         s_set = set(s)
@@ -445,7 +455,7 @@ def is_suitable(
             if v in s_set:
                 continue
             e = tuple(sorted((*s, v)))
-            if e in g.edge_set and chi.colour(e) in host_colours:
+            if e in edge_set and colour_of[e] in host_colours:
                 count += 1
         if count > allowance:
             conditions["heavy-colour-set"] = False
@@ -455,7 +465,7 @@ def is_suitable(
     outside = splitting.vertex_set - anchor.vertex_set
     by_colour: dict[int, list[tuple[int, ...]]] = {}
     for e in edges_within(g, outside):
-        by_colour.setdefault(chi.colour(e), []).append(e)
+        by_colour.setdefault(colour_of[e], []).append(e)
 
     def transverse(vertices: Iterable[int]) -> bool:
         seen: set[int] = set()
@@ -505,7 +515,7 @@ def is_suitable(
 def paths_in_cyclic_order(splitting: Splitting) -> bool:
     """True iff path indices follow the host's cyclic order (so that the
     untouched stretch after path i ends at path i+1)."""
-    runs = [subpath_run(splitting.host, p) for p in splitting.paths]
+    runs = splitting.runs
     if any(r is None for r in runs):
         return False
     c = splitting.host.edge_count

@@ -8,8 +8,9 @@ tiling module covers the part by short paths between the rerouting pairs.
 Gluing all paths to the untouched stretches of the host yields the new
 Hamilton cycle.
 
-The builder asserts its own post-conditions but callers are expected to
-re-check the result through the predicate module; nothing is trusted from
+The builder checks its result through the predicate module, is_switching
+and is_feasible, and returns both reports; callers assert on those reports
+rather than run the predicates a second time.  Nothing is trusted from
 construction.
 """
 

@@ -1,6 +1,7 @@
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from functools import cache, partial
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -15,10 +16,8 @@ from loosehc.sampler import (
     build_aux_digraph,
     build_viable_partition,
     check_events,
-    close_pairs_within,
     exact_binomial_hit,
     estimate_suitable_fraction,
-    is_spread,
     sample_splitting,
     sample_transverse_partition,
     vertices_close,
@@ -71,6 +70,10 @@ def test_close_examples():
     assert vertices_close(c20, 3, 11, 1) is False
     assert brute_force_close(c20, 3, 11, 1) is False
 
+    # a spread set: no two of its vertices are close
+    _, c30 = complete_cycle(30)
+    assert not any(vertices_close(c30, u, v, 1) for u, v in combinations((1, 11, 21), 2))
+
 
 def test_close_matches_bruteforce():
     _, cycle = complete_cycle(14)
@@ -78,12 +81,6 @@ def test_close_matches_bruteforce():
         for v in range(0, 14, 2):
             for t in (1, 2):
                 assert vertices_close(cycle, u, v, t) == brute_force_close(cycle, u, v, t)
-
-
-def test_spread_helpers():
-    _, cycle = complete_cycle(30)
-    assert is_spread(cycle, {1, 11, 21}, 1)
-    assert close_pairs_within(cycle, {1, 3}, 1) == [(1, 3)]
 
 
 def test_sample_splitting_probability_and_determinism():
@@ -222,7 +219,7 @@ def test_accepted_samples_have_spread_transverse_sets():
         for pair_of_paths in combinations(range(len(paths)), 2):
             for u, v in iproduct(paths[pair_of_paths[0]].vertices,
                                  paths[pair_of_paths[1]].vertices):
-                assert is_spread(cycle, {u, v}, params.path_len)
+                assert not vertices_close(cycle, u, v, params.path_len)
         if seen >= 3:
             break
     assert seen > 0
@@ -455,3 +452,118 @@ def test_exact_binomial_hit_rejections():
         exact_binomial_hit(10, Fraction(1, 3))  # mean not integral
     with pytest.raises(InvalidInput):
         exact_binomial_hit(10, Fraction(1, 20))  # zero mean
+
+
+def events_by_definition(sample, g, chi, close, *, epsilon, path_count, j, widen):
+    """Oracle: the five events scanned straight from their definitions,
+    with close(u, v) deciding closeness on the sample's cycle.  Each witness
+    is the first hit in lexicographic order; equal-coloured pairs are
+    scanned class by class, classes in the order of their first edge."""
+    cycle, t, k = sample.cycle, sample.anchor.length, g.k
+    sampled = sorted(sample.sampled_vertices)
+    everything = sorted(sample.vertices)
+    paths = sample.all_paths
+    first_path = {}
+    for i, p in enumerate(paths):
+        for v in p.vertices:
+            first_path.setdefault(v, i)
+
+    def spread(vertices):
+        return not any(close(u, v) for u, v in combinations(sorted(vertices), 2))
+
+    found = {}
+    host_colours = {chi.colour(e) for e in cycle.edge_sequence}
+    for s in combinations(sampled, k - 1):
+        if widen:
+            if len({first_path[v] for v in s}) < len(s):
+                continue
+        elif not spread(s):
+            continue
+        count = sum(1 for v in everything if v not in s
+                    and g.contains((*s, v)) and chi.colour((*s, v)) in host_colours)
+        if count >= epsilon * path_count / 4:
+            found["heavy-colour-set"] = {"set": s, "count": count}
+            break
+
+    inside = [e for e in combinations(sampled, k) if e in g.edge_set]
+    classes = {}
+    for e in inside:
+        classes.setdefault(chi.colour(e), []).append(e)
+    for colour, edges in classes.items():
+        for e, f in combinations(edges, 2):
+            cut = len(set(e) & set(f))
+            union = set(e) | set(f)
+            close_pairs = [p for p in combinations(sorted(union), 2) if close(*p)]
+            if cut <= 1 and not close_pairs:
+                found.setdefault("spread-colour-pair", {"colour": colour, "pair": (e, f)})
+            if cut == 0 and len(close_pairs) == 1:
+                found.setdefault("almost-spread-colour-pair",
+                                 {"colour": colour, "pair": (e, f)})
+
+    induced = [e for e in combinations(everything, k) if e in g.edge_set]
+    bound = (3 * epsilon / 4) * ((t * (k - 1) + 1) * path_count) ** (k - j)
+    for s in combinations(everything, j):
+        deg = sum(1 for e in induced if set(s) <= set(e))
+        if deg < bound:
+            found["low-sample-degree"] = {"set": s, "degree": deg, "bound": bound}
+            break
+
+    for (i, p), (i2, q) in combinations(enumerate(paths), 2):
+        pairs = [(u, v) for u in p.vertices for v in q.vertices if close(u, v)]
+        if pairs:
+            found["close-paths"] = {"paths": (i, i2), "pair": pairs[0]}
+            break
+    return found
+
+
+def test_check_events_matches_definitions():
+    # A half-density host around the cycle of K_60, random-class colourings,
+    # drawn samples, and samples whose sampled paths are pairwise far (one
+    # every fifth edge).
+    full, full_cycle = complete_cycle(60)
+    keep = stream(8, "test-host").random(len(full.edges)) < 0.5
+    cycle_edges = set(full_cycle.edge_sequence)
+    g = Hypergraph.from_edges(60, 3, [
+        e for e, kept in zip(full.edges, keep) if kept or e in cycle_edges
+    ])
+    cycle = validate_loose_cycle(g, range(60))
+    samples = []
+    for t in (1, 2):
+        anchor = increasing_path(cycle, cycle.edge_sequence[0], t)
+        samples += [sample_splitting(cycle, anchor, 4, t, seed=3, trial=trial)
+                    for trial in range(3)]
+    samples += [replace(samples[0], sampled_positions=far)
+                for far in ((5, 10, 15, 20, 25), (2, 7, 12, 17, 22, 27))]
+    colourings = []
+    for class_size in (4, 60):
+        order = stream(class_size, "test-colouring").permutation(len(g.edges))
+        colours = [0] * len(g.edges)
+        for rank, i in enumerate(order):
+            colours[i] = rank // class_size
+        colourings.append(Colouring(g, tuple(colours)))
+    # One colour on two disjoint edges through the middles of pairwise far
+    # paths: a spread pair that is not almost spread.
+    middles = [p.vertices[1] for p in samples[-1].paths]
+    e, f = next((e, f) for e in combinations(middles, 3)
+                for f in [tuple(v for v in middles if v not in e)]
+                if e in g.edge_set and f in g.edge_set)
+    assignment = list(range(len(g.edges)))
+    assignment[g.edges.index(f)] = assignment[g.edges.index(e)]
+    colourings.append(Colouring(g, tuple(assignment)))
+    seen = {}
+    for sample in samples:
+        close = cache(partial(brute_force_close, cycle, path_len=sample.anchor.length))
+        for chi, j, widen, epsilon in product(colourings, (1, 2), (False, True), (0.2, 1.0)):
+            events = check_events(sample, g, chi, epsilon=epsilon, path_count=4, j=j,
+                                  widen_to_all_transverse=widen)
+            expected = events_by_definition(sample, g, chi, close, epsilon=epsilon,
+                                            path_count=4, j=j, widen=widen)
+            assert list(events.flags) == [
+                "heavy-colour-set", "spread-colour-pair", "almost-spread-colour-pair",
+                "low-sample-degree", "close-paths",
+            ]
+            assert events.witnesses == expected
+            for name, hit in events.flags.items():
+                assert hit is (name in expected)
+                seen.setdefault(name, set()).add(hit)
+    assert seen == {name: {True, False} for name in events.flags}, seen

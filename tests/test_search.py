@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,10 @@ from loosehc.hypergraph import Hypergraph, InvalidInput, Parameters, PipelineCon
 from loosehc.oracles import uniform_random_hamilton_cycle
 from loosehc.rng import child_seed, stream
 import loosehc.search as search
+import loosehc.splitting as splitting
+import loosehc.switchbuild as switchbuild
 from loosehc.search import find_conflicts, find_rainbow_hamilton_cycle
+from loosehc.splitting import CheckReport
 from loosehc.switchbuild import sample_switching
 
 
@@ -187,3 +191,43 @@ def test_seeded_switching_is_pinned():
                              10, 23, 16, 8, 21, 14)
     assert built.switching.new_cycle.vertices == (0, 7, 3, 20, 1, 13, 15, 22, 18, 6, 17, 4,
                                                   19, 9, 2, 12, 5, 11, 10, 23, 16, 8, 21, 14)
+
+
+def n24_search_inputs():
+    g = Hypergraph.complete(24, 3)
+    return g, class_colouring(g, 0.1, 6), replace(desk_params(), mu=0.1)
+
+
+def test_search_checks_each_switch_step_once(monkeypatch):
+    # The builder's is_switching and is_feasible reports are the search's
+    # checks; nothing runs them a second time on the same switching.
+    calls = Counter()
+    for name in ("is_switching", "is_feasible"):
+        def counted(*args, _real=getattr(splitting, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in (splitting, switchbuild, search):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    g, chi, params = n24_search_inputs()
+    result = find_rainbow_hamilton_cycle(g, chi, params, seed=6)
+    switches = sum(1 for step in result.log.steps if step["action"] == "switch")
+    assert result.success and switches == 14
+    assert calls == {"is_switching": switches, "is_feasible": switches}
+
+
+@pytest.mark.parametrize("report, message", [
+    ("switching_report", "non-switching"),
+    ("feasibility", "infeasible switching"),
+])
+def test_search_asserts_the_builders_reports(monkeypatch, report, message):
+    def spoiled(*args):
+        built = sample_switching(*args)
+        failed = CheckReport(False, {"stub": False})
+        return None if built is None else replace(built, **{report: failed})
+
+    monkeypatch.setattr(search, "sample_switching", spoiled)
+    g, chi, params = n24_search_inputs()
+    with pytest.raises(AssertionError, match=message):
+        find_rainbow_hamilton_cycle(g, chi, params, seed=6)
