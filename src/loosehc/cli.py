@@ -233,9 +233,9 @@ def cmd_estimate(args) -> int:
     anchor = _path_spec(args.p0, g.k)
     params = _params_from_args(args, g.k)
     estimate = estimate_suitable_fraction(
-        g, chi, cycle, anchor, params,
-        trials=args.trials, seed=args.seed,
-        structural=not args.strict, jobs=args.jobs,
+        g, chi, cycle, anchor, params, args.trials,
+        PipelineConfig(seed=args.seed, partition_budget=200, structural=not args.strict),
+        jobs=args.jobs,
     )
     for record in estimate.records:
         emit({"type": "estimate-trial", **record})
@@ -283,7 +283,7 @@ def cmd_tile(args) -> int:
     return EXIT_OK if report.ok else EXIT_NEGATIVE
 
 
-def _switching_record(result, chi) -> dict:
+def _switching_record(result) -> dict:
     sw = result.switching
     return {
         "type": "switching",
@@ -339,7 +339,7 @@ def cmd_switch(args) -> int:
             emit({"type": "switching", "status": "infeasible", "stage": exc.stage})
             human(f"infeasible at {exc.stage}")
             return EXIT_NEGATIVE
-    emit(_switching_record(result, chi))
+    emit(_switching_record(result))
     human(f"switching built; feasible={result.feasibility.ok}")
     return EXIT_OK if result.feasibility.ok else EXIT_NEGATIVE
 

@@ -211,8 +211,9 @@ class Parameters:
 class PipelineConfig:
     """Seed, budgets and mode of one run of the switching pipeline.
 
-    Each search step, each build and each part's tiling runs on a copy
-    with a child seed: dataclasses.replace(config, seed=...).
+    Each search step, each partition draw, each build and each part's
+    tiling runs on a copy with a child seed: dataclasses.replace(config,
+    seed=...).
     """
 
     seed: int = 0

@@ -9,7 +9,7 @@ by deterministic scans of the realized sample.
 
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, repeat
@@ -22,6 +22,7 @@ from .hypergraph import (
     Hypergraph,
     InvalidInput,
     Parameters,
+    PipelineConfig,
     edges_within,
     relative_degree,
 )
@@ -158,7 +159,6 @@ def check_events(
     path_count: int,
     j: int = 1,
     threshold: float = 0.0,
-    widen_to_all_transverse: bool = False,
 ) -> EventReport:
     """Deterministic checkers for the five rejection events of a sample.
 
@@ -172,9 +172,6 @@ def check_events(
     low-sample-degree: the sample's induced j-degree falls below
     (threshold + 3*epsilon/4) * M^(k-j).  close-paths: two distinct paths
     carry close vertices.
-
-    With widen_to_all_transverse the first event scans transverse sets
-    instead of spread ones (a stricter desk-scale variant).
 
     Cost: one call enumerates the edges induced on the sample's vertices
     once, and reads each edge's colour once.  The heavy-set counts, the
@@ -216,23 +213,11 @@ def check_events(
     if comb(len(sampled), k) < len(g.edges):
         inside.sort()  # the order in which edges_within(g, sampled) lists them
 
-    if widen_to_all_transverse:
-        path_index: dict[int, int] = {}
-        for i, path in enumerate(sample.all_paths):
-            for v in path.vertices:
-                path_index.setdefault(v, i)
-
-        def eligible(s) -> bool:
-            return len({path_index[v] for v in s}) == len(s)
-    else:
-        def eligible(s) -> bool:
-            return not any(close(u, v) for u, v in combinations(s, 2))
-
     flags["heavy-colour-set"] = False
     allowance = epsilon * m / 4
     for s in combinations(sampled, k - 1):
         count = heavy_counts.get(s, 0)
-        if count >= allowance and eligible(s):
+        if count >= allowance and not any(close(u, v) for u, v in combinations(s, 2)):
             flags["heavy-colour-set"] = True
             witnesses["heavy-colour-set"] = {"set": s, "count": count}
             break
@@ -358,7 +343,7 @@ def partition_conditions(
     splitting: Splitting,
     partition: TransversePartition,
     params: Parameters,
-    g: Hypergraph | None,
+    g: Hypergraph,
     structural: bool,
 ) -> CheckReport:
     """Acceptance conditions for a sampled transverse partition.
@@ -402,27 +387,30 @@ def partition_conditions(
 
 def sample_transverse_partition(
     splitting: Splitting,
+    g: Hypergraph,
     params: Parameters,
-    seed: int,
-    structural: bool = True,
-    budget: int = 1000,
-    g: Hypergraph | None = None,
+    config: PipelineConfig,
 ) -> PartitionSample:
-    """Resample uniform transverse partitions until the conditions hold."""
+    """Resample uniform transverse partitions until the conditions hold.
+
+    Draws at most config.partition_budget partitions from streams of
+    config.seed, gated in the mode config.is_structural(g) picks for the
+    host g.
+    """
     if splitting.size != params.split_size:
         raise InvalidInput(
             f"splitting has {splitting.size} paths, parameters say {params.split_size}"
         )
-    if not structural and g is None:
-        raise InvalidInput("strict mode needs the host hypergraph")
-    for attempt in range(budget):
-        gen = stream(seed, "transverse-partition", attempt)
+    structural = config.is_structural(g)
+    for attempt in range(config.partition_budget):
+        gen = stream(config.seed, "transverse-partition", attempt)
         partition = _draw_transverse_partition(splitting, gen)
         report = partition_conditions(splitting, partition, params, g, structural)
         if report.ok:
             return PartitionSample(partition, report, attempt + 1)
     raise BudgetExhausted(
-        "transverse-partition", f"no acceptable partition in {budget} attempts"
+        "transverse-partition",
+        f"no acceptable partition in {config.partition_budget} attempts",
     )
 
 
@@ -512,6 +500,27 @@ def build_viable_partition(
     return swapped, rerouting
 
 
+def draw_viable_partition(
+    splitting: Splitting,
+    g: Hypergraph,
+    params: Parameters,
+    config: PipelineConfig,
+) -> tuple[TransversePartition, Rerouting] | None:
+    """One switching step's partition: sample a transverse partition, find
+    a Hamilton dicycle of its auxiliary digraph and swap the partition
+    around it.
+
+    Returns the swapped partition and its rerouting, or None when the
+    digraph has no Hamilton dicycle.  BudgetExhausted from the partition
+    sampler passes through.
+    """
+    drawn = sample_transverse_partition(splitting, g, params, config)
+    dicycle = find_hamilton_dicycle(build_aux_digraph(drawn.partition, splitting))
+    if dicycle is None:
+        return None
+    return build_viable_partition(splitting, drawn.partition, dicycle)
+
+
 @dataclass(frozen=True)
 class FractionEstimate:
     successes: int
@@ -532,9 +541,9 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959964) -> tuple[f
 
 
 def _estimate_trial(args) -> dict:
-    g, chi, cycle, anchor, params, seed, trial, structural, partition_budget = args
+    g, chi, cycle, anchor, params, config, trial = args
     sample = sample_splitting(
-        cycle, anchor, params.split_size, params.path_len, seed, trial
+        cycle, anchor, params.split_size, params.path_len, config.seed, trial
     )
     record: dict = {"trial": trial, "sampled_edges": len(sample.sampled_positions)}
     outcome = accept_suitable(sample, g, chi, params)
@@ -545,22 +554,17 @@ def _estimate_trial(args) -> dict:
     record["viable"] = False
     if outcome.accepted:
         try:
-            drawn = sample_transverse_partition(
-                outcome.splitting, params,
-                seed=child_seed(seed, "estimate-partition", trial),
-                structural=structural, budget=partition_budget, g=g,
+            drawn = draw_viable_partition(
+                outcome.splitting, g, params,
+                replace(config, seed=child_seed(config.seed, "estimate-partition", trial)),
             )
         except BudgetExhausted:
             record["partition"] = "budget-exhausted"
             return record
-        digraph = build_aux_digraph(drawn.partition, outcome.splitting)
-        dicycle = find_hamilton_dicycle(digraph)
-        if dicycle is None:
+        if drawn is None:
             record["partition"] = "no-dicycle"
             return record
-        swapped, rerouting = build_viable_partition(
-            outcome.splitting, drawn.partition, dicycle
-        )
+        swapped, _ = drawn
         verdict = is_viable(
             outcome.splitting, swapped, g,
             epsilon=params.epsilon,
@@ -580,26 +584,27 @@ def estimate_suitable_fraction(
     anchor: LoosePath,
     params: Parameters,
     trials: int,
-    seed: int,
-    structural: bool = True,
-    partition_budget: int = 200,
+    config: PipelineConfig,
     jobs: int = 1,
 ) -> FractionEstimate:
     """Monte-Carlo fraction of samples that are accepted as suitable and
     admit a viable partition, with a 95% Wilson interval.
 
-    Trials own independent streams, so results are identical for any job
-    count; records are merged in trial order.
+    Trial i samples its splitting from config.seed and draws its partition
+    under a child seed of it; config also sets the partition budget and
+    mode.  Trials own independent streams, so results are identical for any
+    job count; records are merged in trial order.  Workers take trials in
+    chunks of 64, so at most ceil(trials / 64) of them are started, and
+    none when that is one.
     """
     if trials < 1:
         raise InvalidInput("need at least one trial")
-    args = [
-        (g, chi, cycle, anchor, params, seed, trial, structural, partition_budget)
-        for trial in range(trials)
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_estimate_trial, args, chunksize=64))
+    args = [(g, chi, cycle, anchor, params, config, trial) for trial in range(trials)]
+    chunk = 64
+    workers = min(jobs, -(-trials // chunk))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(_estimate_trial, args, chunksize=chunk))
     else:
         records = [_estimate_trial(a) for a in args]
     successes = sum(1 for r in records if r["accepted"] and r["viable"])

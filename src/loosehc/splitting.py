@@ -467,15 +467,6 @@ def is_suitable(
     for e in edges_within(g, outside):
         by_colour.setdefault(colour_of[e], []).append(e)
 
-    def transverse(vertices: Iterable[int]) -> bool:
-        seen: set[int] = set()
-        for v in vertices:
-            i = splitting.path_of[v]
-            if i in seen:
-                return False
-            seen.add(i)
-        return True
-
     conditions["adjacent-repeat"] = True
     conditions["disjoint-repeat-support"] = True
     for colour, edges in by_colour.items():
@@ -484,11 +475,11 @@ def is_suitable(
         for e, f in combinations(edges, 2):
             cut = len(set(e) & set(f))
             if cut == 1 and conditions["adjacent-repeat"]:
-                if transverse(set(e) | set(f)):
+                if is_transverse(splitting, set(e) | set(f)):
                     conditions["adjacent-repeat"] = False
                     witnesses["adjacent-repeat"] = {"colour": colour, "pair": (e, f)}
             elif cut == 0 and conditions["disjoint-repeat-support"]:
-                if transverse(e) and transverse(f):
+                if is_transverse(splitting, e) and is_transverse(splitting, f):
                     common = {splitting.path_of[v] for v in e} & {
                         splitting.path_of[v] for v in f
                     }
@@ -508,7 +499,7 @@ def is_suitable(
         for colour, edges in by_colour.items():
             for e, f in combinations(edges, 2):
                 if not set(e) & set(f):
-                    assert not transverse(set(e) | set(f)), (colour, e, f)
+                    assert not is_transverse(splitting, set(e) | set(f)), (colour, e, f)
     return CheckReport(ok, conditions, witnesses)
 
 

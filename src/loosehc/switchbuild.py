@@ -20,15 +20,12 @@ from .colouring import Colouring, is_rainbow, shares_colour
 from .cycles import LooseCycle, LoosePath, Violation, validate_loose_cycle
 from .graphs import PairGraph
 from .hypergraph import Hypergraph, InvalidInput, Parameters, PipelineConfig, edges_within
-from .oracles import find_hamilton_dicycle
 from .rng import child_seed
 from .sampler import (
     BudgetExhausted,
     accept_suitable,
-    build_aux_digraph,
-    build_viable_partition,
+    draw_viable_partition,
     sample_splitting,
-    sample_transverse_partition,
 )
 from .splitting import (
     CheckReport,
@@ -282,7 +279,6 @@ def sample_switching(
     means (the whole pipeline is a heuristic at desk scale).
     """
     config = config or PipelineConfig()
-    structural = config.is_structural(g)
     for trial in range(config.sample_budget):
         sample = sample_splitting(
             host, anchor, params.split_size, params.path_len, config.seed, trial
@@ -305,21 +301,17 @@ def sample_switching(
         built = None
         for attempt in range(config.partition_tries):
             try:
-                drawn = sample_transverse_partition(
-                    splitting, params,
-                    seed=child_seed(config.seed, "pipeline-partition", trial * 1000 + attempt),
-                    structural=structural,
-                    budget=config.partition_budget,
-                    g=g,
+                drawn = draw_viable_partition(
+                    splitting, g, params,
+                    replace(config, seed=child_seed(
+                        config.seed, "pipeline-partition", trial * 1000 + attempt
+                    )),
                 )
             except BudgetExhausted:
                 break
-            dicycle = find_hamilton_dicycle(build_aux_digraph(drawn.partition, splitting))
-            if dicycle is None:
+            if drawn is None:
                 continue
-            swapped, rerouting = build_viable_partition(
-                splitting, drawn.partition, dicycle
-            )
+            swapped, rerouting = drawn
             try:
                 built = build_feasible_switching(
                     host, anchor, splitting, swapped, rerouting, g, chi, params,

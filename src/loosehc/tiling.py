@@ -170,7 +170,6 @@ def _is_very_bad(req, reservoirs, parts, p: int) -> bool:
 class ClaimStats:
     attempts: int = 0
     failures: dict[str, int] = field(default_factory=dict)
-    relaxed: tuple[str, ...] = ()
 
     def note(self, condition: str) -> None:
         self.failures[condition] = self.failures.get(condition, 0) + 1
@@ -197,7 +196,7 @@ def sample_claim_partition(
     desk scale), and the two goodness conditions gate only a bounded
     prefix of attempts: with very few blocks they can be unsatisfiable
     outright, while the downstream spanning-path oracle enforces conflict
-    avoidance regardless.  Any relaxation is recorded in the stats.
+    avoidance regardless.
 
     When no whole block sizes in the window add up to the number of free
     vertices, every draw would fail "part-sizes", so the sampler refuses
@@ -252,20 +251,13 @@ def sample_claim_partition(
         if not all(low <= len(part) <= high for part in parts):
             stats.note("part-sizes")
             continue
-        gate_goodness = attempt < goodness_gate_until
-        relaxed: list[str] = []
-        if any(_is_very_bad(req, reservoirs, parts, p) for p in range(mt)):
-            if gate_goodness:
+        if attempt < goodness_gate_until:
+            if any(_is_very_bad(req, reservoirs, parts, p) for p in range(mt)):
                 stats.note("no-very-bad")
                 continue
-            relaxed.append("no-very-bad")
-        bad = sum(not _is_good(req, reservoirs, parts, p) for p in range(mt))
-        if bad > bad_cap:
-            if gate_goodness:
+            if sum(not _is_good(req, reservoirs, parts, p) for p in range(mt)) > bad_cap:
                 stats.note("bad-count")
                 continue
-            relaxed.append("bad-count")
-        stats.relaxed = tuple(relaxed)
         if not structural:
             degree_ok = True
             for p in range(mt):
@@ -291,9 +283,7 @@ def sample_claim_partition(
     )
 
 
-def repair_bad_parts(
-    req: TilingRequest, reservoirs, parts, best_effort: bool = False
-) -> list[set[int]]:
+def repair_bad_parts(req: TilingRequest, reservoirs, parts) -> list[set[int]]:
     """Move one vertex out of each bad block into a block that stays good.
 
     For a bad block, the moved vertex must cover all its trapped non-pair
@@ -301,16 +291,14 @@ def repair_bad_parts(
     Targets are distinct across moves; all choices are lexicographically
     least valid.
 
-    With best_effort, unfixable blocks are left in place instead of
-    raising: the spanning-path oracle downstream enforces conflict
-    avoidance regardless, and at small scale (few blocks) there may simply
-    be no valid target even though the tiling itself is feasible.
+    Unfixable blocks are left in place: the spanning-path oracle
+    downstream enforces conflict avoidance regardless, and at small scale
+    (few blocks) there may simply be no valid target even though the
+    tiling itself is feasible.
     """
     parts = [set(p) for p in parts]
     mt = req.pair_count
     bad = [p for p in range(mt) if not _is_good(req, reservoirs, parts, p)]
-    if not best_effort and any(_is_very_bad(req, reservoirs, parts, p) for p in bad):
-        raise TilingInfeasible("repair", "a block is very bad; resample instead")
     originally_good = set(range(mt)) - set(bad)
     used_targets: set[int] = set()
     for p in bad:
@@ -336,12 +324,6 @@ def repair_bad_parts(
                     break
             if done:
                 break
-        if not done and not best_effort:
-            raise TilingInfeasible("repair", f"no (vertex, target) move fixes block {p}")
-    if not best_effort:
-        for p in range(mt):
-            if not _is_good(req, reservoirs, parts, p):
-                raise TilingInfeasible("repair", f"block {p} still bad after repair")
     return parts
 
 
@@ -415,7 +397,7 @@ def build_path_tiling(
             req, reservoirs, params, config, start_attempt=start
         )
         start = stats.attempts
-        parts = repair_bad_parts(req, reservoirs, parts, best_effort=True)
+        parts = repair_bad_parts(req, reservoirs, parts)
         key = frozenset(frozenset(p) for p in parts)
         if key in seen:
             # Deterministically identical partition: retrying cannot help.

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache, partial
@@ -6,9 +7,10 @@ from math import comb
 
 import pytest
 
+from loosehc import sampler
 from loosehc.colouring import Colouring
 from loosehc.cycles import LooseCycle, increasing_path, validate_loose_cycle
-from loosehc.hypergraph import Hypergraph, InvalidInput, Parameters
+from loosehc.hypergraph import Hypergraph, InvalidInput, Parameters, PipelineConfig
 from loosehc.oracles import find_hamilton_dicycle
 from loosehc.rng import stream
 from loosehc.sampler import (
@@ -225,33 +227,47 @@ def test_accepted_samples_have_spread_transverse_sets():
     assert seen > 0
 
 
-def test_check_events_widening_flag():
-    g, cycle = complete_cycle(30)
-    chi = Colouring.constant(g)
-    anchor = increasing_path(cycle, cycle.edge_sequence[0], 1)
-    far = [increasing_path(cycle, cycle.edge_sequence[p], 1) for p in (5, 10)]
-    s = replace(sample_splitting(cycle, anchor, 3, 1, seed=0), sampled_positions=(5, 10))
-    assert s.paths == tuple(far)
-    narrow = check_events(s, g, chi, epsilon=0.2, path_count=3)
-    wide = check_events(s, g, chi, epsilon=0.2, path_count=3,
-                        widen_to_all_transverse=True)
-    # Widening scans at least the spread sets, so a monochromatic host
-    # triggers the heavy-colour event in both modes here.
-    assert narrow.flags["heavy-colour-set"] is True
-    assert wide.flags["heavy-colour-set"] is True
-
-
 def test_estimate_parallel_matches_serial():
     g, cycle = complete_cycle(30)
     chi = Colouring.injective(g)
     params = desk_params()
     anchor = increasing_path(cycle, cycle.edge_sequence[0], 1)
-    serial = estimate_suitable_fraction(g, chi, cycle, anchor, params,
-                                        trials=200, seed=5, jobs=1)
-    parallel = estimate_suitable_fraction(g, chi, cycle, anchor, params,
-                                          trials=200, seed=5, jobs=2)
+    config = PipelineConfig(seed=5)
+    serial = estimate_suitable_fraction(g, chi, cycle, anchor, params, 200, config, jobs=1)
+    parallel = estimate_suitable_fraction(g, chi, cycle, anchor, params, 200, config, jobs=2)
     assert serial.records == parallel.records
     assert serial.successes == parallel.successes
+
+
+def test_estimate_starts_one_worker_per_chunk(monkeypatch):
+    # Trials go to workers 64 at a time, so 30 trials need no pool and 200
+    # trials need four workers, however many jobs are allowed.  The pool is
+    # replaced by one that maps in-process, so no worker is started.
+    created = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(sampler, "ProcessPoolExecutor", RecordingPool)
+    g, cycle = complete_cycle(12)
+    chi = Colouring.injective(g)
+    anchor = increasing_path(cycle, cycle.edge_sequence[0], 1)
+    config = PipelineConfig(seed=5)
+    serial = estimate_suitable_fraction(g, chi, cycle, anchor, desk_params(), 30, config, jobs=8)
+    assert created == []
+    pooled = estimate_suitable_fraction(g, chi, cycle, anchor, desk_params(), 200, config, jobs=8)
+    assert created == [4]
+    assert pooled.records[:30] == serial.records
 
 
 def test_accept_suitable_rejects_wrong_size():
@@ -313,11 +329,25 @@ def test_exit_quota_frequency_matches_product_formula():
 
 
 def test_sample_transverse_partition_structural():
-    s = splitting_n12()
-    params = desk_params()
-    result = sample_transverse_partition(s, params, seed=2, structural=True)
+    g = Hypergraph.complete(12, 3)
+    s = splitting_n12(g)
+    result = sample_transverse_partition(s, g, desk_params(), PipelineConfig(seed=2))
     assert result.report.conditions == {"exit-quota": True}
     assert result.attempts >= 1
+
+
+def test_sample_transverse_partition_strict_config():
+    # On 12 vertices the size rule picks structural mode; the config can
+    # override it, and then every condition gates the partition.  (At
+    # epsilon = 0.2 the degree bound 1.125 exceeds the single edge a vertex
+    # has into its own part, so epsilon is lowered to make it satisfiable.)
+    g = Hypergraph.complete(12, 3)
+    s = splitting_n12(g)
+    config = PipelineConfig(seed=2, structural=False)
+    result = sample_transverse_partition(s, g, desk_params(epsilon=0.05), config)
+    assert result.report.conditions == {
+        "exit-quota": True, "entry-bound": True, "relative-degree": True,
+    }
 
 
 def test_build_aux_digraph_frozen_example():
@@ -390,7 +420,7 @@ def test_estimate_positive_rate_injective():
     params = desk_params()
     anchor = increasing_path(cycle, cycle.edge_sequence[0], 1)
     estimate = estimate_suitable_fraction(
-        g, chi, cycle, anchor, params, trials=1200, seed=5
+        g, chi, cycle, anchor, params, 1200, PipelineConfig(seed=5)
     )
     assert estimate.successes > 0
     assert estimate.rate > 0
@@ -404,7 +434,7 @@ def test_estimate_zero_rate_monochromatic():
     params = desk_params()
     anchor = increasing_path(cycle, cycle.edge_sequence[0], 1)
     estimate = estimate_suitable_fraction(
-        g, chi, cycle, anchor, params, trials=600, seed=6
+        g, chi, cycle, anchor, params, 600, PipelineConfig(seed=6)
     )
     assert estimate.successes == 0
     flagged = [
@@ -420,7 +450,26 @@ def test_estimate_requires_trials():
     anchor = increasing_path(cycle, cycle.edge_sequence[0], 1)
     with pytest.raises(InvalidInput):
         estimate_suitable_fraction(g, chi, cycle, anchor, desk_params(),
-                                   trials=0, seed=1)
+                                   0, PipelineConfig(seed=1))
+
+
+@pytest.mark.parametrize("structural, successes, partitions", [
+    (True, 7, {}),
+    (False, 0, {"budget-exhausted": 7}),
+])
+def test_estimate_seeded_outcomes(structural, successes, partitions):
+    # Seeded outcomes on K_30 under the injective colouring: seven of the
+    # 1200 samples pass the event gate.  Structurally each yields a viable
+    # partition; the strict degree bound 1.125 can never hold at m = 3, so
+    # strictly each exhausts its partition budget.
+    g, cycle = complete_cycle(30)
+    chi = Colouring.injective(g)
+    anchor = increasing_path(cycle, cycle.edge_sequence[0], 1)
+    config = PipelineConfig(seed=5, partition_budget=200, structural=structural)
+    estimate = estimate_suitable_fraction(g, chi, cycle, anchor, desk_params(), 1200, config)
+    assert estimate.successes == successes
+    assert sum(r["accepted"] for r in estimate.records) == 7
+    assert Counter(r["partition"] for r in estimate.records if "partition" in r) == partitions
 
 
 def test_wilson_interval_basics():
@@ -454,7 +503,7 @@ def test_exact_binomial_hit_rejections():
         exact_binomial_hit(10, Fraction(1, 20))  # zero mean
 
 
-def events_by_definition(sample, g, chi, close, *, epsilon, path_count, j, widen):
+def events_by_definition(sample, g, chi, close, *, epsilon, path_count, j):
     """Oracle: the five events scanned straight from their definitions,
     with close(u, v) deciding closeness on the sample's cycle.  Each witness
     is the first hit in lexicographic order; equal-coloured pairs are
@@ -463,10 +512,6 @@ def events_by_definition(sample, g, chi, close, *, epsilon, path_count, j, widen
     sampled = sorted(sample.sampled_vertices)
     everything = sorted(sample.vertices)
     paths = sample.all_paths
-    first_path = {}
-    for i, p in enumerate(paths):
-        for v in p.vertices:
-            first_path.setdefault(v, i)
 
     def spread(vertices):
         return not any(close(u, v) for u, v in combinations(sorted(vertices), 2))
@@ -474,10 +519,7 @@ def events_by_definition(sample, g, chi, close, *, epsilon, path_count, j, widen
     found = {}
     host_colours = {chi.colour(e) for e in cycle.edge_sequence}
     for s in combinations(sampled, k - 1):
-        if widen:
-            if len({first_path[v] for v in s}) < len(s):
-                continue
-        elif not spread(s):
+        if not spread(s):
             continue
         count = sum(1 for v in everything if v not in s
                     and g.contains((*s, v)) and chi.colour((*s, v)) in host_colours)
@@ -553,11 +595,10 @@ def test_check_events_matches_definitions():
     seen = {}
     for sample in samples:
         close = cache(partial(brute_force_close, cycle, path_len=sample.anchor.length))
-        for chi, j, widen, epsilon in product(colourings, (1, 2), (False, True), (0.2, 1.0)):
-            events = check_events(sample, g, chi, epsilon=epsilon, path_count=4, j=j,
-                                  widen_to_all_transverse=widen)
+        for chi, j, epsilon in product(colourings, (1, 2), (0.2, 1.0)):
+            events = check_events(sample, g, chi, epsilon=epsilon, path_count=4, j=j)
             expected = events_by_definition(sample, g, chi, close, epsilon=epsilon,
-                                            path_count=4, j=j, widen=widen)
+                                            path_count=4, j=j)
             assert list(events.flags) == [
                 "heavy-colour-set", "spread-colour-pair", "almost-spread-colour-pair",
                 "low-sample-degree", "close-paths",

@@ -118,15 +118,13 @@ def test_repair_two_bad_blocks_distinct_targets():
     assert len(receiving) == 2 and len(set(receiving)) == 2
 
 
-def test_repair_strict_raises_without_targets():
-    # One block holding all of a two-edge matching is very bad: strict
-    # repair refuses, best-effort passes it through for the oracle stage.
+def test_repair_passes_very_bad_block_through():
+    # One block holding all of a two-edge matching is very bad: repair
+    # leaves it in place for the oracle stage.
     req = request(7, [(0, 1)], conflicts=[(2, 3), (4, 5)], t=3)
     reservoirs = choose_reservoirs(req)
     parts = [set(range(7)) - {0, 1}]
-    with pytest.raises(TilingInfeasible):
-        repair_bad_parts(req, reservoirs, parts)
-    passed_through = repair_bad_parts(req, reservoirs, parts, best_effort=True)
+    passed_through = repair_bad_parts(req, reservoirs, parts)
     assert passed_through == parts
 
 
