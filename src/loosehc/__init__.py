@@ -19,10 +19,12 @@ from .hypergraph import (
     InvalidInput,
     Parameters,
     PipelineConfig,
+    UnmeetableGate,
     degree,
     induced,
     min_j_degree,
     relative_degree,
+    unmeetable_gate,
 )
 from .oracles import (
     EnumerationBudget,

@@ -15,10 +15,17 @@ import os
 import platform
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 from . import __version__
-from .colouring import Colouring, format_colouring, is_rainbow, parse_colouring
+from .colouring import (
+    Colouring,
+    check_global_bound,
+    format_colouring,
+    is_rainbow,
+    parse_colouring,
+)
 from .cycles import (
     LooseCycle,
     LoosePath,
@@ -35,6 +42,7 @@ from .hypergraph import (
     Parameters,
     PipelineConfig,
     format_hypergraph,
+    min_j_degree,
     parse_hypergraph,
 )
 from .oracles import (
@@ -134,6 +142,20 @@ def _params_from_args(args, k: int) -> Parameters:
     return params
 
 
+def _note_hypotheses(args, g: Hypergraph, chi: Colouring, params: Parameters) -> None:
+    """Record for the manifest whether the input meets the theorem's
+    hypotheses: a colouring whose classes hold at most mu*n^(k-1) edges, and
+    a host whose minimum j-degree is at least (threshold + gamma)*C(n-j, k-j)."""
+    degree = min_j_degree(g, params.j)
+    needed = (params.threshold + params.gamma) * comb(g.n - params.j, g.k - params.j)
+    args.hypotheses = {
+        "global_bound": check_global_bound(chi, params.mu, g.n, g.k),
+        "min_j_degree": degree,
+        "j_degree_needed": needed,
+        "above_threshold": degree >= needed,
+    }
+
+
 def _add_parameter_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t", type=int, required=True, help="anchored path length")
     p.add_argument("--mtilde", type=int, required=True, help="rerouting pairs per part")
@@ -200,6 +222,7 @@ def cmd_sample(args) -> int:
     cycle = _load_cycle(args.cycle, g)
     anchor = _path_spec(args.p0, g.k)
     params = _params_from_args(args, g.k)
+    _note_hypotheses(args, g, chi, params)
     accepted = 0
     for trial in range(args.trials):
         started = time.monotonic()
@@ -232,6 +255,7 @@ def cmd_estimate(args) -> int:
     cycle = _load_cycle(args.cycle, g)
     anchor = _path_spec(args.p0, g.k)
     params = _params_from_args(args, g.k)
+    _note_hypotheses(args, g, chi, params)
     estimate = estimate_suitable_fraction(
         g, chi, cycle, anchor, params, args.trials,
         PipelineConfig(seed=args.seed, partition_budget=200, structural=not args.strict),
@@ -302,6 +326,7 @@ def cmd_switch(args) -> int:
     cycle = _load_cycle(args.cycle, g)
     anchor = _path_spec(args.p0, g.k)
     params = _params_from_args(args, g.k)
+    _note_hypotheses(args, g, chi, params)
     if args.sample:
         result = sample_switching(
             g, chi, cycle, anchor, params,
@@ -366,6 +391,7 @@ def cmd_search(args) -> int:
     g = _load_graph(args.hg)
     chi = _load_colouring(args.col, g)
     params = _params_from_args(args, g.k)
+    _note_hypotheses(args, g, chi, params)
     start = _load_cycle(args.start, g) if args.start else None
     result = find_rainbow_hamilton_cycle(
         g, chi, params, seed=args.seed, max_steps=args.max_steps, start=start
@@ -545,6 +571,8 @@ def main(argv=None) -> int:
         "wall_time_s": round(time.monotonic() - started, 3),
         "exit_code": code,
     }
+    if hasattr(args, "hypotheses"):
+        manifest["hypotheses"] = args.hypotheses
     human("manifest: " + json.dumps(manifest, sort_keys=True))
     if args.manifest:
         Path(args.manifest).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")

@@ -111,12 +111,13 @@ def relative_degree(g: Hypergraph, s: Iterable[int], w: Iterable[int]) -> int:
 
 
 def min_j_degree(g: Hypergraph, j: int) -> int:
-    """Minimum degree over all j-element vertex sets."""
+    """Minimum degree over all j-element vertex sets, counted in one pass
+    over the edges."""
     if not 1 <= j <= g.k - 1:
         raise InvalidInput(f"degree type j must satisfy 1 <= j <= {g.k - 1}, got {j}")
     if g.n < j:
         raise InvalidInput(f"need at least j = {j} vertices, have {g.n}")
-    return min(degree(g, s) for s in combinations(range(g.n), j))
+    return min_j_degree_within(g, range(g.n), j)
 
 
 def edges_within(g: Hypergraph, w: Iterable[int]) -> list[tuple[int, ...]]:
@@ -231,6 +232,72 @@ class PipelineConfig:
         reads: the host for the partition gate, the part's induced graph for
         each part's tiling."""
         return self.structural if self.structural is not None else g.n < 50
+
+
+class UnmeetableGate(InvalidInput):
+    """A strict gate that no sample can meet on any host; the message leads
+    with the gate's name, as "gate: detail"."""
+
+    @property
+    def gate(self) -> str:
+        return str(self).partition(":")[0]
+
+
+def sample_degree_bound(threshold: float, epsilon: float, size: int, k: int, j: int) -> float:
+    """The low-sample-degree event's bound: each j-set of a sample on size
+    vertices must lie in at least this many of the sample's edges."""
+    return (threshold + 3 * epsilon / 4) * size ** (k - j)
+
+
+def relative_degree_bound(threshold: float, epsilon: float, m: int, k: int, j: int) -> float:
+    """The strict partition gate's bound: each j-set of a splitting of m
+    paths must keep at least this many edges into each part."""
+    return (threshold + 5 * epsilon / 8) * m ** (k - j)
+
+
+def unmeetable_gate(
+    params: Parameters, *, strict_partition: bool, events: bool
+) -> UnmeetableGate | None:
+    """The refusal of the first strict gate of a run that no sample can
+    meet on any host, or None.  A pure function of the parameters and the
+    mode, checked before anything is drawn: the samplers raise what it
+    returns, and the search reads the gate's name from it.
+
+    events (the event gate runs): a balanced sample has M = sample_size
+    vertices, so a j-set lies in at most C(M - j, k - j) of its edges
+    (low-sample-degree).  strict_partition (the partition gate is strict):
+    the m = split_size entries fall into part_count parts, so some part
+    holds at least pairs_per_part of them (entry-bound); and every part has
+    m >= k > j vertices, so some j-set lies inside a part and has at most
+    C(m - j, k - j) edges into it (relative-degree).  The complete host
+    attains both degree maxima.
+    """
+    k, j = params.k, params.j
+    if events:
+        size = params.sample_size
+        bound = sample_degree_bound(params.threshold, params.epsilon, size, k, j)
+        best = comb(size - j, k - j)
+        if best < bound:
+            return UnmeetableGate(
+                f"low-sample-degree: bound {bound:g} > {best} = C({size - j}, {k - j}) "
+                f"edges a j-set has inside a sample of {size} vertices"
+            )
+    if strict_partition:
+        m, quota = params.split_size, params.pairs_per_part
+        cap = params.beta * m
+        if cap < quota:
+            return UnmeetableGate(
+                f"entry-bound: cap {cap:g} = beta*m < {quota}: some part holds at "
+                f"least {quota} of the {m} entries"
+            )
+        bound = relative_degree_bound(params.threshold, params.epsilon, m, k, j)
+        best = comb(m - j, k - j)
+        if best < bound:
+            return UnmeetableGate(
+                f"relative-degree: bound {bound:g} > {best} = C({m - j}, {k - j}) "
+                f"edges a j-set has into its own part"
+            )
+    return None
 
 
 class FormatError(InvalidInput):

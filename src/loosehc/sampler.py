@@ -25,6 +25,9 @@ from .hypergraph import (
     PipelineConfig,
     edges_within,
     relative_degree,
+    relative_degree_bound,
+    sample_degree_bound,
+    unmeetable_gate,
 )
 from .oracles import find_hamilton_dicycle
 from .rng import child_seed, stream
@@ -246,8 +249,7 @@ def check_events(
             break
 
     part_count = t * (k - 1) + 1
-    sample_vertex_target = part_count * m
-    bound = (threshold + 3 * epsilon / 4) * sample_vertex_target ** (k - j)
+    bound = sample_degree_bound(threshold, epsilon, part_count * m, k, j)
     flags["low-sample-degree"] = False
     for s in combinations(everything, j):
         deg = degrees[s]
@@ -370,7 +372,7 @@ def partition_conditions(
         conditions["entry-bound"] = all(
             len(part & entry_set) <= cap for part in partition.parts
         )
-        bound = (params.threshold + 5 * params.epsilon / 8) * m ** (g.k - params.j)
+        bound = relative_degree_bound(params.threshold, params.epsilon, m, g.k, params.j)
         degree_ok = True
         for s in combinations(sorted(splitting.vertex_set), params.j):
             for h, part in enumerate(partition.parts):
@@ -395,13 +397,17 @@ def sample_transverse_partition(
 
     Draws at most config.partition_budget partitions from streams of
     config.seed, gated in the mode config.is_structural(g) picks for the
-    host g.
+    host g.  A strict gate that no partition can meet raises UnmeetableGate
+    before the first draw.
     """
     if splitting.size != params.split_size:
         raise InvalidInput(
             f"splitting has {splitting.size} paths, parameters say {params.split_size}"
         )
     structural = config.is_structural(g)
+    refusal = unmeetable_gate(params, strict_partition=not structural, events=False)
+    if refusal is not None:
+        raise refusal
     for attempt in range(config.partition_budget):
         gen = stream(config.seed, "transverse-partition", attempt)
         partition = _draw_transverse_partition(splitting, gen)
@@ -595,10 +601,14 @@ def estimate_suitable_fraction(
     mode.  Trials own independent streams, so results are identical for any
     job count; records are merged in trial order.  Workers take trials in
     chunks of 64, so at most ceil(trials / 64) of them are started, and
-    none when that is one.
+    none when that is one.  Every trial runs the event gate, so a gate that
+    no trial can meet raises UnmeetableGate before the first draw.
     """
     if trials < 1:
         raise InvalidInput("need at least one trial")
+    refusal = unmeetable_gate(params, strict_partition=not config.is_structural(g), events=True)
+    if refusal is not None:
+        raise refusal
     args = [(g, chi, cycle, anchor, params, config, trial) for trial in range(trials)]
     chunk = 64
     workers = min(jobs, -(-trials // chunk))

@@ -14,7 +14,13 @@ from dataclasses import dataclass, field, replace
 
 from .colouring import Colouring, is_rainbow
 from .cycles import LooseCycle, Violation, increasing_path, validate_loose_cycle
-from .hypergraph import Hypergraph, InvalidInput, Parameters, PipelineConfig
+from .hypergraph import (
+    Hypergraph,
+    InvalidInput,
+    Parameters,
+    PipelineConfig,
+    unmeetable_gate,
+)
 from .oracles import uniform_random_hamilton_cycle
 from .rng import child_seed
 from .switchbuild import sample_switching
@@ -108,6 +114,11 @@ def find_rainbow_hamilton_cycle(
     """Local search: resolve one conflict per step by a feasible switching,
     falling back to a fresh random Hamilton cycle when no switching can be
     built within budget.  Any returned success is re-validated.
+
+    Each restart's log entry names its reason: the strict gate that no
+    sample can meet (found once, before the first step), "host-too-small"
+    for a host below the switching geometry, or "budget-exhausted" when
+    sample_switching found nothing.
     """
     if g.n % (g.k - 1) != 0:
         raise InvalidInput(f"(k-1) = {g.k - 1} must divide n = {g.n}")
@@ -119,6 +130,17 @@ def find_rainbow_hamilton_cycle(
     )
     restarts = 0
     base_pipeline = pipeline or PipelineConfig(sample_budget=400, partition_tries=10)
+    refusal = unmeetable_gate(
+        params,
+        strict_partition=not base_pipeline.is_structural(g),
+        events=base_pipeline.require_events,
+    )
+    if refusal is not None:
+        blocked = refusal.gate
+    elif g.n < params.split_size * (params.path_len + 1) * (g.k - 1):
+        blocked = "host-too-small"
+    else:
+        blocked = None
     for step in range(max_steps):
         conflicts = find_conflicts(cycle, chi, params.path_len)
         if not conflicts:
@@ -134,7 +156,7 @@ def find_rainbow_hamilton_cycle(
         )
         cfg = replace(base_pipeline, seed=child_seed(seed, "search-step", step))
         built = None
-        if g.n >= params.split_size * (params.path_len + 1) * (g.k - 1):
+        if blocked is None:
             built = sample_switching(g, chi, cycle, anchor, params, cfg)
         if built is None:
             # No switching available: redraw and keep searching.
@@ -142,7 +164,8 @@ def find_rainbow_hamilton_cycle(
             cycle = uniform_random_hamilton_cycle(
                 g, child_seed(seed, "search-restart", restarts)
             )
-            log.note(step=step, action="restart", conflicts=len(conflicts))
+            log.note(step=step, action="restart", conflicts=len(conflicts),
+                     reason=blocked or "budget-exhausted")
             continue
 
         # The builder ran is_switching and is_feasible on this very switching.

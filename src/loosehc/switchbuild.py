@@ -19,7 +19,14 @@ from dataclasses import dataclass, replace
 from .colouring import Colouring, is_rainbow, shares_colour
 from .cycles import LooseCycle, LoosePath, Violation, validate_loose_cycle
 from .graphs import PairGraph
-from .hypergraph import Hypergraph, InvalidInput, Parameters, PipelineConfig, edges_within
+from .hypergraph import (
+    Hypergraph,
+    InvalidInput,
+    Parameters,
+    PipelineConfig,
+    edges_within,
+    unmeetable_gate,
+)
 from .rng import child_seed
 from .sampler import (
     BudgetExhausted,
@@ -276,9 +283,17 @@ def sample_switching(
     partition with its rerouting, and retile the parts into a switching.
 
     Returns None when the budgets run out; the caller decides what that
-    means (the whole pipeline is a heuristic at desk scale).
+    means (the whole pipeline is a heuristic at desk scale).  Before the
+    first draw it raises UnmeetableGate, an InvalidInput naming the gate,
+    when no sample can meet a strict gate of this run: the event gate with
+    config.require_events, the partition gate when the host is strict.
     """
     config = config or PipelineConfig()
+    refusal = unmeetable_gate(
+        params, strict_partition=not config.is_structural(g), events=config.require_events
+    )
+    if refusal is not None:
+        raise refusal
     for trial in range(config.sample_budget):
         sample = sample_splitting(
             host, anchor, params.split_size, params.path_len, config.seed, trial

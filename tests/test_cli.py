@@ -230,3 +230,46 @@ def test_manifest_written_when_argparse_rejects(files, capsys, tmp_path):
     assert data["command"] is None and data["exit_code"] == 2
     assert "--nope" in data["argv"]
     assert "manifest:" in err
+
+
+@pytest.fixture(scope="module")
+def k54(tmp_path_factory):
+    # At n = 54 the partition gate is strict by size, and its bound 1.125
+    # at m = 3 exceeds the one edge a vertex has into its own part.
+    path = tmp_path_factory.mktemp("k54")
+    g = Hypergraph.complete(54, 3)
+    (path / "g.hg").write_text(format_hypergraph(g))
+    (path / "g.col").write_text(format_colouring(Colouring.injective(g)))
+    (path / "cycle.txt").write_text(format_vertex_line(range(54)) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("command", [
+    ["switch", "--sample"], ["estimate", "--strict", "--trials", 5],
+], ids=["switch", "estimate"])
+def test_unmeetable_gate_exits_2_naming_it(k54, capsys, tmp_path, command):
+    manifest = tmp_path / "manifest.json"
+    code, records, err = run(
+        capsys, "--manifest", manifest, *command,
+        "--hg", k54 / "g.hg", "--col", k54 / "g.col", "--cycle", k54 / "cycle.txt",
+        "--p0", "0 1 2", "--seed", 1, "--t", 1, "--mtilde", 1,
+    )
+    assert code == 2 and records == []
+    assert "error: relative-degree: bound 1.125 > 1" in err
+    data = json.loads(manifest.read_text())
+    assert data["exit_code"] == 2
+    assert data["hypotheses"] == {
+        "global_bound": True, "min_j_degree": 1378,
+        "j_degree_needed": pytest.approx(13.78), "above_threshold": True,
+    }
+
+
+def test_search_on_a_strict_host_still_succeeds(k54, capsys, tmp_path):
+    manifest = tmp_path / "manifest.json"
+    code, records, _ = run(
+        capsys, "--manifest", manifest, "search",
+        "--hg", k54 / "g.hg", "--col", k54 / "g.col",
+        "--seed", 1, "--t", 1, "--mtilde", 1,
+    )
+    assert code == 0 and records[0]["status"] == "found"
+    assert json.loads(manifest.read_text())["hypotheses"]["above_threshold"] is True

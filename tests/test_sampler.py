@@ -7,19 +7,28 @@ from math import comb
 
 import pytest
 
-from loosehc import sampler
+from loosehc import sampler, switchbuild
 from loosehc.colouring import Colouring
 from loosehc.cycles import LooseCycle, increasing_path, validate_loose_cycle
-from loosehc.hypergraph import Hypergraph, InvalidInput, Parameters, PipelineConfig
+from loosehc.hypergraph import (
+    Hypergraph,
+    InvalidInput,
+    Parameters,
+    PipelineConfig,
+    UnmeetableGate,
+    unmeetable_gate,
+)
 from loosehc.oracles import find_hamilton_dicycle
 from loosehc.rng import stream
 from loosehc.sampler import (
+    SampledSplitting,
     accept_suitable,
     build_aux_digraph,
     build_viable_partition,
     check_events,
     exact_binomial_hit,
     estimate_suitable_fraction,
+    partition_conditions,
     sample_splitting,
     sample_transverse_partition,
     vertices_close,
@@ -343,11 +352,14 @@ def test_sample_transverse_partition_strict_config():
     # has into its own part, so epsilon is lowered to make it satisfiable.)
     g = Hypergraph.complete(12, 3)
     s = splitting_n12(g)
+    # At j = 2 the bound 0.375 is met by the one edge a pair has into its
+    # own part.
     config = PipelineConfig(seed=2, structural=False)
-    result = sample_transverse_partition(s, g, desk_params(epsilon=0.05), config)
-    assert result.report.conditions == {
-        "exit-quota": True, "entry-bound": True, "relative-degree": True,
-    }
+    for params in (desk_params(epsilon=0.05), desk_params(j=2)):
+        result = sample_transverse_partition(s, g, params, config)
+        assert result.report.conditions == {
+            "exit-quota": True, "entry-bound": True, "relative-degree": True,
+        }
 
 
 def test_build_aux_digraph_frozen_example():
@@ -453,23 +465,25 @@ def test_estimate_requires_trials():
                                    0, PipelineConfig(seed=1))
 
 
-@pytest.mark.parametrize("structural, successes, partitions", [
-    (True, 7, {}),
-    (False, 0, {"budget-exhausted": 7}),
-])
-def test_estimate_seeded_outcomes(structural, successes, partitions):
+@pytest.mark.parametrize("structural", [True, False], ids=["structural", "strict"])
+def test_estimate_seeded_outcomes(structural):
     # Seeded outcomes on K_30 under the injective colouring: seven of the
-    # 1200 samples pass the event gate.  Structurally each yields a viable
-    # partition; the strict degree bound 1.125 can never hold at m = 3, so
-    # strictly each exhausts its partition budget.
+    # 1200 samples pass the event gate, and structurally each yields a
+    # viable partition.  The strict degree bound 1.125 at m = 3 exceeds the
+    # C(2, 2) = 1 edge a vertex has into its own part, so the strict run is
+    # refused before its first draw.
     g, cycle = complete_cycle(30)
     chi = Colouring.injective(g)
     anchor = increasing_path(cycle, cycle.edge_sequence[0], 1)
     config = PipelineConfig(seed=5, partition_budget=200, structural=structural)
+    if not structural:
+        with pytest.raises(InvalidInput, match="relative-degree"):
+            estimate_suitable_fraction(g, chi, cycle, anchor, desk_params(), 1200, config)
+        return
     estimate = estimate_suitable_fraction(g, chi, cycle, anchor, desk_params(), 1200, config)
-    assert estimate.successes == successes
+    assert estimate.successes == 7
     assert sum(r["accepted"] for r in estimate.records) == 7
-    assert Counter(r["partition"] for r in estimate.records if "partition" in r) == partitions
+    assert Counter(r["partition"] for r in estimate.records if "partition" in r) == {}
 
 
 def test_wilson_interval_basics():
@@ -608,3 +622,94 @@ def test_check_events_matches_definitions():
                 assert hit is (name in expected)
                 seen.setdefault(name, set()).add(hit)
     assert seen == {name: {True, False} for name in events.flags}, seen
+
+
+def preflight_refusal(params, **mode):
+    refusal = unmeetable_gate(params, **mode)
+    return None if refusal is None else refusal.gate
+
+
+@cache
+def complete_on_sample(k, t, quota):
+    """A balanced sample of m = part_count * quota paths of t edges, one at
+    every (t + 1)-th edge of the identity loose cycle, with its splitting
+    and the injective colouring of a host made of the cycle's edges and
+    every k-set of the sample's vertices: all the edges the degree gates of
+    this sample and its partitions read, as on the complete host."""
+    part_count = t * (k - 1) + 1
+    m = part_count * quota
+    cycle = LooseCycle(tuple(range(m * (t + 1) * (k - 1))), k)
+    positions = tuple(range(0, m * (t + 1), t + 1))
+    anchor = increasing_path(cycle, cycle.edge_sequence[0], t)
+    sample = SampledSplitting(cycle, anchor, positions[1:], t, 0.0)
+    g = Hypergraph.from_edges(cycle.n, k, sorted(
+        set(cycle.edge_sequence) | set(combinations(sorted(sample.vertices), k))
+    ))
+    splitting = validate_splitting(cycle, sample.all_paths, "balanced", t)
+    assert isinstance(splitting, Splitting)
+    return g, Colouring.injective(g), sample, splitting
+
+
+# k = 4, t = 2, m~ = 2 is left out: its sample has 98 vertices, and the
+# C(98, 4) = 3.6 million edges inside it are too many for a unit test.
+GATE_GRID = [(k, j, t, quota) for k in (3, 4) for j in range(1, k)
+             for t in (1, 2) for quota in (1, 2) if (k, t, quota) != (4, 2, 2)]
+
+
+@pytest.mark.parametrize("k, j, t, quota", GATE_GRID)
+def test_preflight_refuses_exactly_the_gates_no_sample_meets(k, j, t, quota):
+    # On a host that is complete on the sample every degree is the most any
+    # host allows, so the first drawn partition and the balanced sample fail
+    # a degree gate exactly when no draw can meet it.
+    g, chi, sample, splitting = complete_on_sample(k, t, quota)
+    partition = _draw_transverse_partition(splitting, stream(0, "transverse-partition", 0))
+    for epsilon, threshold in ((0.05, 0.0), (0.2, 0.0), (0.5, 0.3)):
+        params = desk_params(k=k, j=j, path_len=t, pairs_per_part=quota,
+                             epsilon=epsilon, threshold=threshold)
+        events = check_events(sample, g, chi, epsilon=epsilon, path_count=params.split_size,
+                              j=j, threshold=threshold)
+        expected = "low-sample-degree" if events.flags["low-sample-degree"] else None
+        assert preflight_refusal(params, strict_partition=False, events=True) == expected
+        report = partition_conditions(splitting, partition, params, g, structural=False)
+        for beta in (0.2, 0.5):
+            params = replace(params, beta=beta)
+            refused = preflight_refusal(params, strict_partition=True, events=False)
+            if refused == "entry-bound":
+                # Pigeonhole: some part holds quota of the m entries.
+                most = max(len(part & set(splitting.entries)) for part in partition.parts)
+                assert beta * params.split_size < quota <= most
+                continue
+            expected = None if report.conditions["relative-degree"] else "relative-degree"
+            assert refused == expected
+    assert preflight_refusal(params, strict_partition=False, events=False) is None
+
+
+def test_refused_runs_open_no_stream(monkeypatch):
+    # On K_12 forced strict, the bound 1.125 exceeds the C(2, 2) = 1 edge a
+    # vertex has into its own part.
+    g, cycle = complete_cycle(12)
+    chi = Colouring.injective(g)
+    anchor = increasing_path(cycle, cycle.edge_sequence[0], 1)
+    config = PipelineConfig(seed=1, structural=False, require_events=True)
+    keys = []
+    real_stream = sampler.stream
+    monkeypatch.setattr(sampler, "stream", lambda *key: keys.append(key) or real_stream(*key))
+    message = "relative-degree: bound 1.125 > 1 = C(2, 2) edges a j-set has into its own part"
+    refusals = [
+        lambda: switchbuild.sample_switching(g, chi, cycle, anchor, desk_params(), config),
+        lambda: estimate_suitable_fraction(g, chi, cycle, anchor, desk_params(), 5, config),
+        lambda: sample_transverse_partition(splitting_n12(g), g, desk_params(), config),
+    ]
+    for refused in refusals:
+        with pytest.raises(UnmeetableGate) as err:
+            refused()
+        assert str(err.value) == message and err.value.gate == "relative-degree"
+    # A threshold of 1 puts the sample bound at 1.15 * 9^2 > C(8, 2) = 28.
+    with pytest.raises(UnmeetableGate, match="^low-sample-degree: "):
+        estimate_suitable_fraction(g, chi, cycle, anchor, desk_params(threshold=1.0), 5,
+                                   replace(config, structural=True))
+    # Some part holds at least one of the three entries, above beta * m = 0.3.
+    with pytest.raises(UnmeetableGate, match="^entry-bound: "):
+        switchbuild.sample_switching(g, chi, cycle, anchor, desk_params(beta=0.1, epsilon=0.05),
+                                     replace(config, require_events=False))
+    assert keys == []

@@ -142,8 +142,31 @@ def test_search_passes_its_pipeline_config_to_each_step(monkeypatch):
     result = find_rainbow_hamilton_cycle(g, Colouring.constant(g), desk_params(),
                                          seed=1, max_steps=2, pipeline=pipeline)
     assert not result.success and result.restarts == 2
+    assert [step["reason"] for step in result.log.steps] == ["budget-exhausted"] * 2
     assert [c.seed for c in received] == [child_seed(1, "search-step", s) for s in range(2)]
     assert all(replace(c, seed=pipeline.seed) == pipeline for c in received)
+
+
+def test_search_restarts_on_an_unmeetable_gate_without_sampling(monkeypatch):
+    # n = 54 makes the partition gate strict, and its bound 1.125 at m = 3
+    # exceeds the one edge a vertex has into its own part: every step
+    # restarts at once and names the gate.
+    g = Hypergraph.complete(54, 3)
+    calls = []
+    monkeypatch.setattr(search, "sample_switching", lambda *args: calls.append(args))
+    result = find_rainbow_hamilton_cycle(g, class_colouring(g, 0.05, 1), desk_params(),
+                                         seed=1, max_steps=3)
+    assert calls == []
+    assert result.restarts == 3
+    assert [step["reason"] for step in result.log.steps] == ["relative-degree"] * 3
+
+
+def test_search_names_a_host_below_the_switching_geometry():
+    # Three paths of one edge, with a one-edge gap each, need 12 vertices.
+    g = Hypergraph.complete(10, 3)
+    result = find_rainbow_hamilton_cycle(g, Colouring.constant(g), desk_params(),
+                                         seed=1, max_steps=2)
+    assert [step["reason"] for step in result.log.steps] == ["host-too-small"] * 2
 
 
 def class_colouring(g, mu, seed):
