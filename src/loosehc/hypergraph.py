@@ -225,6 +225,11 @@ class PipelineConfig:
     structural: bool | None = None  # None: decided by is_structural
     require_events: bool = False    # strict acceptance through the event gate
 
+    def __post_init__(self) -> None:
+        for name in ("sample_budget", "partition_budget", "partition_tries", "claim_budget"):
+            if getattr(self, name) < 1:
+                raise InvalidInput(f"{name} must be >= 1, got {getattr(self, name)}")
+
     def is_structural(self, g: Hypergraph) -> bool:
         """Structural mode gates on the constructions' shape alone and
         relaxes the asymptotic conditions; unless set explicitly it holds on

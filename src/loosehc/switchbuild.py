@@ -313,7 +313,6 @@ def sample_switching(
                 continue
             splitting = checked
 
-        built = None
         for attempt in range(config.partition_tries):
             try:
                 drawn = draw_viable_partition(
@@ -328,13 +327,10 @@ def sample_switching(
                 continue
             swapped, rerouting = drawn
             try:
-                built = build_feasible_switching(
+                return build_feasible_switching(
                     host, anchor, splitting, swapped, rerouting, g, chi, params,
                     replace(config, seed=child_seed(config.seed, "pipeline-build", trial)),
                 )
             except TilingInfeasible:
                 continue
-            break
-        if built is not None:
-            return built
     return None

@@ -13,8 +13,9 @@ stage name.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 from .cycles import LoosePath
 from .graphs import PairGraph
@@ -166,41 +167,32 @@ def _is_very_bad(req, reservoirs, parts, p: int) -> bool:
     return True
 
 
-@dataclass
-class ClaimStats:
-    attempts: int = 0
-    failures: dict[str, int] = field(default_factory=dict)
-
-    def note(self, condition: str) -> None:
-        self.failures[condition] = self.failures.get(condition, 0) + 1
-
-
 def sample_claim_partition(
-    req: TilingRequest,
-    reservoirs,
-    params: Parameters,
-    config: PipelineConfig,
-    start_attempt: int = 0,
-) -> tuple[list[set[int]], ClaimStats]:
-    """Uniform independent assignment of the free vertices into one block
-    per pair, resampled until the acceptance conditions hold.
+    req: TilingRequest, reservoirs, params: Parameters, config: PipelineConfig
+) -> Iterator[list[set[int]]]:
+    """Uniform independent assignments of the free vertices into one block
+    per pair, one draw for each of the config.claim_budget attempts;
+    yields each assignment that meets the acceptance conditions, in
+    attempt order.
 
     Conditions: "part-sizes" (each block size within beta*t of
-    (t-1)*(k-1)), "part-degrees" (relative degree of every j-set into each
-    extended block; skipped in structural mode), "no-very-bad" (every
-    block's trapped conflict edges share a vertex of the block) and
-    "bad-count" (at most t^3 k^3 blocks trap any conflict edge).
+    (t-1)*(k-1)), "no-very-bad" (every block's trapped conflict edges
+    share a vertex of the block), "bad-count" (at most t^3 k^3 blocks trap
+    any conflict edge) and "part-degrees" (relative degree of every j-set
+    into each extended block; skipped in structural mode).
 
     In structural mode the size window is widened just enough to include
     the expected block size (which the asymptotic window can exclude at
-    desk scale), and the two goodness conditions gate only a bounded
-    prefix of attempts: with very few blocks they can be unsatisfiable
-    outright, while the downstream spanning-path oracle enforces conflict
-    avoidance regardless.
+    desk scale), and the two goodness conditions gate only the first 100
+    attempts: with very few blocks they can be unsatisfiable outright,
+    while the downstream spanning-path oracle enforces conflict avoidance
+    regardless.
 
     When no whole block sizes in the window add up to the number of free
     vertices, every draw would fail "part-sizes", so the sampler refuses
-    before its first draw.
+    before its first draw.  When the budget ends on rejected attempts it
+    raises "claim-partition" with the failures counted since the last
+    accepted one.
     """
     g, k, t = req.graph, req.graph.k, req.path_len
     mt = req.pair_count
@@ -223,22 +215,13 @@ def sample_claim_partition(
             f"add up to {len(free)}, the number of free vertices",
         )
     bad_cap = t ** 3 * k ** 3
-    stats = ClaimStats()
+    degree_floor = params.threshold + 3 * params.epsilon / 16
     # With a single block (or nothing to assign) the partition is unique:
     # no draw is needed, and in structural mode the goodness gate is
     # pointless.
     forced = mt == 1 or not free
-    if structural:
-        # Goodness gates only an absolute prefix of the budget: it
-        # expresses a preference, and re-applying it on every retry
-        # segment would starve the later stages.
-        prefix = 0 if forced else 100
-        goodness_gate_until = min(prefix, config.claim_budget)
-    else:
-        goodness_gate_until = config.claim_budget
-
-    for attempt in range(start_attempt, config.claim_budget):
-        stats.attempts = attempt + 1
+    failures: dict[str, int] = {}
+    for attempt in range(config.claim_budget):
         if forced:
             assignment = [0] * len(free)
         else:
@@ -248,39 +231,30 @@ def sample_claim_partition(
         for v, p in zip(free, assignment):
             parts[int(p)].add(v)
 
+        gated = not structural or (not forced and attempt < 100)
         if not all(low <= len(part) <= high for part in parts):
-            stats.note("part-sizes")
+            failure = "part-sizes"
+        elif gated and any(_is_very_bad(req, reservoirs, parts, p) for p in range(mt)):
+            failure = "no-very-bad"
+        elif gated and sum(not _is_good(req, reservoirs, parts, p) for p in range(mt)) > bad_cap:
+            failure = "bad-count"
+        elif not structural and any(
+            relative_degree(g, s, plus) < degree_floor * len(plus) ** (k - params.j)
+            for plus in (_block_plus(req, reservoirs, parts, p) for p in range(mt))
+            for s in combinations(free, params.j)
+        ):
+            failure = "part-degrees"
+        else:
+            yield parts
+            failures = {}
             continue
-        if attempt < goodness_gate_until:
-            if any(_is_very_bad(req, reservoirs, parts, p) for p in range(mt)):
-                stats.note("no-very-bad")
-                continue
-            if sum(not _is_good(req, reservoirs, parts, p) for p in range(mt)) > bad_cap:
-                stats.note("bad-count")
-                continue
-        if not structural:
-            degree_ok = True
-            for p in range(mt):
-                plus = _block_plus(req, reservoirs, parts, p)
-                bound = (
-                    (params.threshold + 3 * params.epsilon / 16) * len(plus) ** (k - params.j)
-                )
-                for s in combinations(free, params.j):
-                    if relative_degree(g, s, plus) < bound:
-                        degree_ok = False
-                        break
-                if not degree_ok:
-                    break
-            if not degree_ok:
-                stats.note("part-degrees")
-                continue
-        return parts, stats
-
-    raise TilingInfeasible(
-        "claim-partition",
-        f"no acceptable partition in {config.claim_budget} attempts "
-        f"(failures: {stats.failures})",
-    )
+        failures[failure] = failures.get(failure, 0) + 1
+    if failures:
+        raise TilingInfeasible(
+            "claim-partition",
+            f"no acceptable partition in {config.claim_budget} attempts "
+            f"(failures: {failures})",
+        )
 
 
 def repair_bad_parts(req: TilingRequest, reservoirs, parts) -> list[set[int]]:
@@ -386,36 +360,25 @@ def build_path_tiling(
         raise TilingInfeasible("reservoirs", "not enough vertices for pairs and reservoirs")
     reservoirs = choose_reservoirs(req)
     # A partition that passes the claim conditions can still strand the
-    # spanning-path stage at desk scale, so the whole tail of the pipeline
-    # retries on fresh partitions (bounded by the shared budget).
-    start = 0
-    oracle_retries = 0
-    last_exc: TilingInfeasible | None = None
-    seen: set[frozenset[frozenset[int]]] = set()
-    while start < config.claim_budget and oracle_retries < 25:
-        parts, stats = sample_claim_partition(
-            req, reservoirs, params, config, start_attempt=start
-        )
-        start = stats.attempts
+    # spanning-path stage at desk scale, so the tail of the pipeline moves
+    # on to the next accepted partition, at most 25 times.  A partition
+    # whose blocks were all tried before, in any order, ends the tiling.
+    tried: set[frozenset[frozenset[int]]] = set()
+    for parts in sample_claim_partition(req, reservoirs, params, config):
         parts = repair_bad_parts(req, reservoirs, parts)
         key = frozenset(frozenset(p) for p in parts)
-        if key in seen:
-            # Deterministically identical partition: retrying cannot help.
-            if last_exc is not None:
-                raise last_exc
-            continue
-        seen.add(key)
+        if key in tried:
+            raise failure
+        tried.add(key)
         finals = fix_divisibility(req, reservoirs, parts)
         try:
-            paths = _tile_blocks(req, finals)
+            return PathTiling(tuple(_tile_blocks(req, finals)), tuple(finals))
         except TilingInfeasible as exc:
-            oracle_retries += 1
-            last_exc = exc
-            continue
-        return PathTiling(tuple(paths), tuple(finals))
-    raise last_exc or TilingInfeasible(
-        "claim-partition", f"budget exhausted after {start} partition attempts"
-    )
+            failure = exc
+        if len(tried) == 25:
+            break
+    # The sampler yields at least once or raises, so a failure is set here.
+    raise failure
 
 
 def _tile_blocks(req: TilingRequest, finals) -> list[LoosePath]:

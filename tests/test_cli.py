@@ -180,6 +180,18 @@ def test_tile_empty_pairs_exits_2(tmp_path, capsys):
     assert "error:" in err and "Traceback" not in err
 
 
+def test_tile_refuses_a_claim_budget_below_one(tmp_path, capsys):
+    g = Hypergraph.complete(7, 3)
+    (tmp_path / "g.hg").write_text(format_hypergraph(g))
+    (tmp_path / "pairs.txt").write_text("0 1\n")
+    code, records, err = run(
+        capsys, "tile", "--hg", tmp_path / "g.hg",
+        "--pairs", tmp_path / "pairs.txt", "--t", 3, "--seed", 1, "--claim-budget", 0,
+    )
+    assert code == 2 and records == []
+    assert "claim_budget" in err
+
+
 def test_estimate_subcommand_deterministic_stdout(files, capsys):
     args = [
         "estimate", "--hg", files / "g.hg", "--col", files / "g.col",
@@ -273,3 +285,20 @@ def test_search_on_a_strict_host_still_succeeds(k54, capsys, tmp_path):
     )
     assert code == 0 and records[0]["status"] == "found"
     assert json.loads(manifest.read_text())["hypotheses"]["above_threshold"] is True
+
+
+def test_switch_sample_strict_on_k30(tmp_path, capsys):
+    # At n = 30 the partition gate is structural, so --strict adds only the
+    # event gate, which this host and colouring can pass.
+    g = Hypergraph.complete(30, 3)
+    (tmp_path / "g.hg").write_text(format_hypergraph(g))
+    (tmp_path / "g.col").write_text(format_colouring(Colouring.injective(g)))
+    (tmp_path / "cycle.txt").write_text(format_vertex_line(range(30)) + "\n")
+    code, records, _ = run(
+        capsys, "switch",
+        "--hg", tmp_path / "g.hg", "--col", tmp_path / "g.col",
+        "--cycle", tmp_path / "cycle.txt", "--p0", "0 1 2",
+        "--seed", 1, "--t", 1, "--mtilde", 1, "--sample", "--strict",
+    )
+    assert code == 0
+    assert records[0]["feasible"] is True

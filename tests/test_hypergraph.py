@@ -171,6 +171,16 @@ def test_parameters_validation():
                    epsilon=1.5, mu=0.05, gamma=0.01, beta=0.5)
 
 
+@pytest.mark.parametrize(
+    "name", ["sample_budget", "partition_budget", "partition_tries", "claim_budget"]
+)
+def test_pipeline_config_rejects_budgets_below_one(name):
+    for value in (0, -1):
+        with pytest.raises(InvalidInput, match=name):
+            PipelineConfig(**{name: value})
+    assert getattr(PipelineConfig(**{name: 1}), name) == 1
+
+
 def test_pipeline_config_mode_rule():
     small, large = Hypergraph.complete(49, 3), Hypergraph.complete(50, 3)
     assert PipelineConfig().is_structural(small)

@@ -201,6 +201,28 @@ def test_is_suitable_injective_reduces_to_host_edge_count():
     assert report.ok, str(report)
 
 
+def test_is_suitable_detects_heavy_colour_set():
+    # One colour everywhere: every edge repeats a host colour, so the first
+    # transverse pair outside the anchor lies in too many of them.
+    g = Hypergraph.complete(14, 3)
+    cycle = validate_loose_cycle(g, range(14))
+    paths = tuple(
+        increasing_path(cycle, cycle.edge_sequence[p], 1) for p in (0, 2, 4)
+    )
+    s = validate_splitting(cycle, paths, "balanced", 1)
+    assert isinstance(s, Splitting)
+    chi = Colouring.constant(g)
+    report = is_suitable(s, s.paths[0], chi, g, epsilon=0.2)
+    assert not report.ok
+    assert report.conditions["heavy-colour-set"] is False
+    assert report.witnesses["heavy-colour-set"] == {"set": (4, 8), "count": 7}
+    host_colours = {chi.colour(e) for e in cycle.edge_sequence}
+    assert sum(
+        1 for e in g.edges
+        if {4, 8} <= set(e) <= s.vertex_set and chi.colour(e) in host_colours
+    ) == 7
+
+
 def test_is_suitable_detects_adjacent_repeat():
     # The union of the offending pair has 2k-1 = 5 vertices, so it needs 5
     # distinct non-anchor paths; use a splitting of size 6.

@@ -215,6 +215,25 @@ def test_sample_switching_end_to_end():
     assert is_feasible(sw, chi).ok
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sample_switching_through_the_event_gate(seed):
+    # With require_events the splitting is suitable, so the builder asserts
+    # that the fresh edges are rainbow and the switching feasible.
+    g = Hypergraph.complete(30, 3)
+    cycle = validate_loose_cycle(g, range(30))
+    chi = Colouring.injective(g)
+    anchor = increasing_path(cycle, cycle.edge_sequence[0], 1)
+    assert anchor.vertices == (0, 1, 2)
+    result = sample_switching(g, chi, cycle, anchor, desk_params(),
+                              PipelineConfig(seed=seed, require_events=True))
+    assert result is not None
+    assert result.cross_colour_ok and result.union_rainbow
+    sw = result.switching
+    assert is_switching(sw.anchor, sw.host, sw.splitting, sw.new_cycle,
+                        sw.new_splitting, graph=g).ok
+    assert is_feasible(sw, chi).ok
+
+
 def test_sample_switching_deterministic():
     g = Hypergraph.complete(12, 3)
     cycle = validate_loose_cycle(g, range(12))

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from loosehc import tiling
@@ -68,9 +71,8 @@ def test_sample_claim_partition_statistics():
     req = request(14, [(0, 1), (7, 8)])
     reservoirs = choose_reservoirs(req)
     cfg = PipelineConfig(seed=5)
-    parts, stats = sample_claim_partition(req, reservoirs, PARAMS, cfg)
+    parts = next(sample_claim_partition(req, reservoirs, PARAMS, cfg))
     assert len(parts) == 2
-    assert stats.attempts >= 1
     free = set(range(14)) - {0, 1, 7, 8} - set(reservoirs[1])
     assert parts[0] | parts[1] == free
 
@@ -78,8 +80,8 @@ def test_sample_claim_partition_statistics():
 def test_sample_claim_partition_deterministic():
     req = request(14, [(0, 1), (7, 8)])
     reservoirs = choose_reservoirs(req)
-    a, _ = sample_claim_partition(req, reservoirs, PARAMS, PipelineConfig(seed=9))
-    b, _ = sample_claim_partition(req, reservoirs, PARAMS, PipelineConfig(seed=9))
+    a = next(sample_claim_partition(req, reservoirs, PARAMS, PipelineConfig(seed=9)))
+    b = next(sample_claim_partition(req, reservoirs, PARAMS, PipelineConfig(seed=9)))
     assert a == b
 
 
@@ -139,7 +141,7 @@ def test_build_tiling_with_disjoint_conflicts_single_block():
 def test_repair_identity_when_all_good():
     req = request(14, [(0, 1), (7, 8)])
     reservoirs = choose_reservoirs(req)
-    parts, _ = sample_claim_partition(req, reservoirs, PARAMS, PipelineConfig(seed=1))
+    parts = next(sample_claim_partition(req, reservoirs, PARAMS, PipelineConfig(seed=1)))
     assert repair_bad_parts(req, reservoirs, parts) == parts
 
 
@@ -241,3 +243,92 @@ def test_validate_path_tiling_catches_bad_endpoints():
     report = validate_path_tiling(wrong, tiling)
     assert not report.ok
     assert report.conditions["endpoints"] is False
+
+
+def test_forced_block_without_a_path_fails_after_one_oracle_call(monkeypatch):
+    # One pair and one free vertex: the only partition is forced, and the
+    # edgeless host has no spanning path.  The same partition comes back on
+    # the next claim attempt, so the oracle runs once.
+    req = TilingRequest(Hypergraph(3, 3, ()), ((0, 1),), PairGraph.empty(), 1)
+    calls = []
+    real_find = tiling.find_loose_hamilton_path
+    monkeypatch.setattr(tiling, "find_loose_hamilton_path",
+                        lambda *args: calls.append(args) or real_find(*args))
+    with pytest.raises(TilingInfeasible) as err:
+        build_path_tiling(req, PARAMS, PipelineConfig(seed=1))
+    assert err.value.stage == "ham-path"
+    assert len(calls) == 1
+
+
+def test_strict_claim_gate_checks_part_degrees():
+    # K5 with one pair at t = 2: the strict window [1, 3] holds the three
+    # free vertices.  Each vertex lies in C(4, 2) = 6 edges of the extended
+    # block, against a bound of (threshold + 3 eps / 16) * 5^2.
+    req = TilingRequest(Hypergraph.complete(5, 3), ((0, 1),), PairGraph.empty(), 2)
+    config = PipelineConfig(seed=1, claim_budget=7, structural=False)
+    tiled = build_path_tiling(req, PARAMS, config)
+    assert [p.vertices for p in tiled.paths] == [(0, 3, 2, 4, 1)]
+    demanding = Parameters(k=3, j=1, path_len=1, pairs_per_part=1, epsilon=0.2,
+                           mu=0.05, gamma=0.01, beta=0.5, threshold=0.5)
+    with pytest.raises(TilingInfeasible) as err:
+        build_path_tiling(req, demanding, config)
+    assert err.value.stage == "claim-partition"
+    assert err.value.detail == "no acceptable partition in 7 attempts (failures: {'part-degrees': 7})"
+
+
+def random_graph(n, density, seed):
+    rng = random.Random(seed)
+    return Hypergraph(n, 3, tuple(e for e in combinations(range(n), 3) if rng.random() < density))
+
+
+def traced_tiling(monkeypatch, graph_seed, claim_budget):
+    """Tile a random 3-graph on 10 vertices between (0, 1) and (2, 3) at
+    t = 2, recording the claim draws, every repaired partition and every
+    partition handed on to be tiled."""
+    req = TilingRequest(random_graph(10, 0.5, graph_seed), ((0, 1), (2, 3)), PairGraph.empty(), 2)
+    draws, repaired, tiled = [], [], []
+    real_stream, real_repair, real_fix = tiling.stream, tiling.repair_bad_parts, tiling.fix_divisibility
+    monkeypatch.setattr(tiling, "stream", lambda *key: draws.append(key[2]) or real_stream(*key))
+    monkeypatch.setattr(tiling, "repair_bad_parts",
+                        lambda *args: repaired.append(real_repair(*args)) or repaired[-1])
+    monkeypatch.setattr(tiling, "fix_divisibility",
+                        lambda *args: tiled.append(args[2]) or real_fix(*args))
+    try:
+        outcome = build_path_tiling(req, PARAMS, PipelineConfig(seed=1, claim_budget=claim_budget))
+    except TilingInfeasible as exc:
+        outcome = exc
+    return outcome, draws, repaired, tiled
+
+
+FIRST = [{6, 7}, {5, 8, 9}]
+SECOND = [{5, 7}, {6, 8, 9}]
+
+
+def test_tiling_retries_a_later_partition_after_a_failed_one(monkeypatch):
+    outcome, draws, repaired, tiled = traced_tiling(monkeypatch, 7, 10)
+    assert draws == [0, 1] and repaired == tiled == [FIRST, SECOND]
+    assert [p.vertices for p in outcome.paths] == [(0, 5, 4, 7, 1), (2, 8, 6, 9, 3)]
+
+
+def test_tiling_stops_when_a_failed_partition_comes_back(monkeypatch):
+    # Draws 2 and 3 are rejected.  Draw 4 gives the second partition's
+    # blocks to the other pairs, and a partition is known by its blocks.
+    outcome, draws, repaired, tiled = traced_tiling(monkeypatch, 0, 10)
+    assert draws == [0, 1, 2, 3, 4]
+    assert tiled == [FIRST, SECOND] and repaired == [FIRST, SECOND, SECOND[::-1]]
+    assert (outcome.stage, outcome.detail) == ("ham-path", "no conflict-free spanning path in block 0")
+
+
+def test_tiling_raises_the_last_failure_when_the_budget_ends_on_it(monkeypatch):
+    outcome, draws, repaired, tiled = traced_tiling(monkeypatch, 0, 2)
+    assert draws == [0, 1] and repaired == tiled == [FIRST, SECOND]
+    assert (outcome.stage, outcome.detail) == ("ham-path", "no conflict-free spanning path in block 0")
+
+
+def test_tiling_raises_claim_partition_when_the_budget_ends_on_rejections(monkeypatch):
+    # The failure counts cover only the draws after the last accepted one.
+    outcome, draws, repaired, tiled = traced_tiling(monkeypatch, 0, 3)
+    assert draws == [0, 1, 2] and repaired == tiled == [FIRST, SECOND]
+    assert (outcome.stage, outcome.detail) == (
+        "claim-partition", "no acceptable partition in 3 attempts (failures: {'part-sizes': 1})"
+    )
