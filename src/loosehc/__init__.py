@@ -28,6 +28,7 @@ from .hypergraph import (
 )
 from .oracles import (
     EnumerationBudget,
+    count_loose_hamilton_cycles,
     enumerate_loose_hamilton_cycles,
     exists_rainbow_loose_hc,
     exists_rainbow_tight_hc,

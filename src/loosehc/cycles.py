@@ -119,6 +119,16 @@ class LooseCycle:
             self, "vertices", _canonical_cycle_vertices(self.vertices, self.k)
         )
 
+    @classmethod
+    def _from_canonical(cls, vertices: tuple[int, ...], k: int) -> "LooseCycle":
+        """The cycle of a walk that is already in canonical form, taken as
+        is: no checks, no second canonicalisation.  For the exact oracles,
+        whose walks are canonical by construction."""
+        cycle = object.__new__(cls)
+        object.__setattr__(cycle, "vertices", vertices)
+        object.__setattr__(cycle, "k", k)
+        return cycle
+
     @property
     def n(self) -> int:
         return len(self.vertices)

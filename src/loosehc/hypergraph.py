@@ -44,6 +44,10 @@ class Hypergraph:
             seen.add(e)
 
     @cached_property
+    def vertex_set(self) -> frozenset[int]:
+        return frozenset(range(self.n))
+
+    @cached_property
     def edge_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.edges)
 
@@ -73,9 +77,10 @@ class Hypergraph:
 
 def _check_vertex_set(g: Hypergraph, s: Iterable[int], name: str) -> frozenset[int]:
     s = frozenset(s)
-    for v in s:
-        if not 0 <= v < g.n:
-            raise InvalidInput(f"{name} contains vertex {v} outside [0, {g.n})")
+    if not s <= g.vertex_set:  # only a failing set is scanned, to name its vertex
+        for v in s:
+            if not 0 <= v < g.n:
+                raise InvalidInput(f"{name} contains vertex {v} outside [0, {g.n})")
     return s
 
 

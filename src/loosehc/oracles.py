@@ -118,16 +118,26 @@ def _loose_walks(index, walk, used, end, remaining, tick, colour_of=None, colour
 
 
 def _cycle_walks(g: Hypergraph, clock: _BudgetClock, colour_of=None):
-    """Vertex walks of the loose Hamilton cycles of g, each cycle once.
+    """Vertex walks of the loose Hamilton cycles of g, each cycle once and
+    in LooseCycle's canonical form.
 
-    The first edge of a walk is the cycle's least edge, the anchor; the rest
-    of the cycle is a spanning loose path from the anchor's exit back to its
-    entry.  Requiring entry < exit fixes the direction.
+    The first edge of a walk is the cycle's least edge, the anchor: the
+    index keeps only edges above it.  The rest of the cycle is a spanning
+    loose path from the anchor's exit back to its entry, and entry < exit
+    fixes the direction.  Edges are sorted tuples, so every interior comes
+    out sorted.
+
+    With colour_of set, only rainbow walks come out.  Each edge of a walk
+    takes a new colour, so when the host's edges carry fewer colours than a
+    cycle has edges there is none, and the search ends before its first
+    node.
     """
     if g.n % (g.k - 1) != 0:
         raise InvalidInput(f"(k-1) = {g.k - 1} must divide n = {g.n}")
     count = g.n // (g.k - 1)
     if count < 3 or len(g.edges) < count:
+        return
+    if colour_of is not None and len({colour_of[e] for e in g.edges}) < count:
         return
     full = _loose_index(g.n, g.edges)
     for anchor in g.edges:
@@ -150,9 +160,19 @@ def enumerate_loose_hamilton_cycles(
 ) -> EnumerationResult:
     """All distinct loose Hamilton cycles of g, in canonical form."""
     clock = _BudgetClock(budget or EnumerationBudget())
-    found = [LooseCycle(walk, g.k) for walk in _cycle_walks(g, clock)]
-    cycles = tuple(sorted(found, key=lambda c: c.vertices))
+    walks = sorted(_cycle_walks(g, clock))
+    cycles = tuple(LooseCycle._from_canonical(walk, g.k) for walk in walks)
     return EnumerationResult(cycles, complete=not clock.exhausted, nodes=clock.nodes)
+
+
+def count_loose_hamilton_cycles(
+    g: Hypergraph, budget: EnumerationBudget | None = None
+) -> tuple[int, bool]:
+    """The number of cycles enumerate_loose_hamilton_cycles finds under the
+    same budget, and whether the count is complete; no cycle is kept."""
+    clock = _BudgetClock(budget or EnumerationBudget())
+    count = sum(1 for _ in _cycle_walks(g, clock))
+    return count, not clock.exhausted
 
 
 def exists_rainbow_loose_hc(
@@ -161,7 +181,7 @@ def exists_rainbow_loose_hc(
     """First rainbow loose Hamilton cycle in enumeration order, if any."""
     clock = _BudgetClock(budget or EnumerationBudget())
     for walk in _cycle_walks(g, clock, colour_of=chi.by_edge):
-        return RainbowSearchResult("found", LooseCycle(walk, g.k))
+        return RainbowSearchResult("found", LooseCycle._from_canonical(walk, g.k))
     return RainbowSearchResult("unknown" if clock.exhausted else "absent")
 
 
@@ -205,6 +225,9 @@ def find_tight_hamilton_cycle(
         return None
     n = g.n
     rainbow = chi is not None
+    # Each of the n windows takes a new colour, so fewer colours leave none.
+    if rainbow and len({chi.by_edge[e] for e in g.edges}) < n:
+        return None
     # third[a][b]: (c, colour of {a, b, c}) for every edge {a, b, c}, by c.
     third: list[list[list[tuple[int, int | None]]]] = [
         [[] for _ in range(n)] for _ in range(n)

@@ -6,7 +6,7 @@ import loosehc
 from loosehc.cli import main
 from loosehc.colouring import Colouring, format_colouring
 from loosehc.constructions import tight_counterexample
-from loosehc.cycles import format_vertex_line
+from loosehc.cycles import LooseCycle, format_vertex_line
 from loosehc.hypergraph import Hypergraph, format_hypergraph
 
 
@@ -32,6 +32,52 @@ def test_enumerate(tmp_path, capsys):
     code, records, _ = run(capsys, "enumerate", "--hg", tmp_path / "g.hg")
     assert code == 0
     assert records[0]["count"] == 120 and records[0]["complete"]
+
+
+def test_enumerate_without_witness_builds_no_cycle(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a cycle was built")
+
+    monkeypatch.setattr(LooseCycle, "__post_init__", refuse)
+    monkeypatch.setattr(LooseCycle, "_from_canonical", refuse)
+    g = Hypergraph.complete(8, 3)
+    (tmp_path / "g.hg").write_text(format_hypergraph(g))
+    code, records, err = run(capsys, "enumerate", "--hg", tmp_path / "g.hg")
+    assert code == 0
+    assert records == [{"type": "enumeration", "count": 5040, "complete": True,
+                        "n": 8, "k": 3}]
+    assert "5040 loose Hamilton cycles\n" in err
+    code, records, err = run(
+        capsys, "enumerate", "--hg", tmp_path / "g.hg", "--node-limit", 1000
+    )
+    assert code == 3 and records[0]["count"] == 850 and not records[0]["complete"]
+    assert "850 loose Hamilton cycles (budget exceeded, partial)" in err
+    with pytest.raises(AssertionError, match="a cycle was built"):
+        main(["enumerate", "--hg", str(tmp_path / "g.hg"),
+              "--witness", str(tmp_path / "cycles.txt")])
+
+
+def test_enumerate_witness_lists_the_sorted_cycles(tmp_path, capsys):
+    g = Hypergraph.complete(6, 3)
+    (tmp_path / "g.hg").write_text(format_hypergraph(g))
+    code, records, _ = run(capsys, "enumerate", "--hg", tmp_path / "g.hg",
+                           "--witness", tmp_path / "cycles.txt")
+    lines = (tmp_path / "cycles.txt").read_text().splitlines()
+    assert code == 0 and records[0]["count"] == len(lines) == 120
+    cycles = [tuple(int(v) for v in line.split()) for line in lines]
+    assert cycles == sorted(cycles)
+    assert all(LooseCycle(c, 3).vertices == c for c in cycles)
+
+
+def test_rainbow_exists_proves_absence_within_any_budget(tmp_path, capsys):
+    # One colour for a cycle of 4 edges: absent before the first node.
+    g = Hypergraph.complete(8, 3)
+    (tmp_path / "g.hg").write_text(format_hypergraph(g))
+    (tmp_path / "g.col").write_text(format_colouring(Colouring.constant(g)))
+    code, records, _ = run(capsys, "rainbow-exists", "--hg", tmp_path / "g.hg",
+                           "--col", tmp_path / "g.col", "--node-limit", 1)
+    assert code == 1
+    assert records == [{"type": "rainbow-exists", "mode": "loose", "status": "absent"}]
 
 
 def test_verify_rainbow(files, capsys):

@@ -44,6 +44,15 @@ def test_relative_degree_examples():
     assert relative_degree(g6, {0, 1}, {2, 3}) == 2
 
 
+def test_relative_degree_names_a_vertex_outside_the_host():
+    g = Hypergraph.complete(5, 3)
+    assert relative_degree(g, {0}, {1, 4}) == 1
+    with pytest.raises(InvalidInput, match=r"^S contains vertex 5 outside \[0, 5\)$"):
+        relative_degree(g, {5}, {1, 2})
+    with pytest.raises(InvalidInput, match=r"^W contains vertex -1 outside \[0, 5\)$"):
+        relative_degree(g, {0}, {1, -1})
+
+
 def test_min_j_degree_examples():
     g = Hypergraph.complete(6, 3)
     assert min_j_degree(g, 2) == 4

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from loosehc import oracles
+from loosehc import cycles, oracles
 from loosehc.colouring import Colouring
 from loosehc.constructions import first_prefix_colouring
 from loosehc.cycles import (
@@ -17,6 +17,7 @@ from loosehc.graphs import Digraph, PairGraph
 from loosehc.hypergraph import Hypergraph, InvalidInput
 from loosehc.oracles import (
     EnumerationBudget,
+    count_loose_hamilton_cycles,
     enumerate_loose_hamilton_cycles,
     exists_rainbow_loose_hc,
     exists_rainbow_tight_hc,
@@ -145,10 +146,20 @@ def test_exists_rainbow_loose_hc():
 
 
 def test_exists_rainbow_loose_hc_budget_unknown():
+    # The injective colouring has a rainbow cycle, first reached at the
+    # third node: a budget that runs out before it answers unknown.
     g = Hypergraph.complete(8, 3)
+    injective = Colouring.injective(g)
+    result = exists_rainbow_loose_hc(g, injective, EnumerationBudget(node_limit=1))
+    assert result.status == "unknown" and result.witness is None
+    assert exists_rainbow_loose_hc(
+        g, injective, EnumerationBudget(node_limit=3)
+    ).status == "found"
+    # One colour cannot make a rainbow cycle of 4 edges: the colour count
+    # proves absence before the first node, whatever the budget.
     mono = Colouring.constant(g)
     result = exists_rainbow_loose_hc(g, mono, EnumerationBudget(node_limit=10))
-    assert result.status == "unknown"
+    assert result.status == "absent" and result.witness is None
 
 
 def test_tight_cycle_search():
@@ -203,15 +214,31 @@ def test_uniform_random_cycle_draws_lie_in_the_host():
 
 def test_enumeration_builds_each_cycle_once(monkeypatch):
     built = []
+    from_canonical = LooseCycle._from_canonical
 
-    def counting_loose_cycle(*args):
+    def counting_from_canonical(*args):
         built.append(args)
-        return LooseCycle(*args)
+        return from_canonical(*args)
 
-    monkeypatch.setattr(oracles, "LooseCycle", counting_loose_cycle)
+    def refuse(*args):
+        raise AssertionError("an enumerated walk was canonicalised again")
+
+    monkeypatch.setattr(LooseCycle, "_from_canonical", counting_from_canonical)
+    monkeypatch.setattr(cycles, "_canonical_cycle_vertices", refuse)
     result = enumerate_loose_hamilton_cycles(Hypergraph.complete(8, 3))
     assert len(result.cycles) == 5040
     assert len(built) == 5040
+
+
+def test_count_matches_enumeration_under_every_budget():
+    complete = Hypergraph.complete(8, 3)
+    for g in (complete, Hypergraph.from_edges(8, 3, complete.edges[1::2])):
+        for limit in (1, 7, 1000, 50_000_000):
+            budget = EnumerationBudget(node_limit=limit)
+            result = enumerate_loose_hamilton_cycles(g, budget)
+            assert count_loose_hamilton_cycles(g, budget) == (
+                len(result.cycles), result.complete
+            )
 
 
 def test_enumeration_count_k9_uniformity_4():
