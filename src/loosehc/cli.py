@@ -157,6 +157,18 @@ def _note_hypotheses(args, g: Hypergraph, chi: Colouring, params: Parameters) ->
     }
 
 
+def _load_anchored(args) -> tuple[Hypergraph, Colouring, LooseCycle, LoosePath, Parameters]:
+    """The host, colouring, cycle, anchor and parameters of sample, estimate
+    and switch, loaded in that order, with the hypotheses noted."""
+    g = _load_graph(args.hg)
+    chi = _load_colouring(args.col, g)
+    cycle = _load_cycle(args.cycle, g)
+    anchor = _path_spec(args.p0, g.k)
+    params = _params_from_args(args, g.k)
+    _note_hypotheses(args, g, chi, params)
+    return g, chi, cycle, anchor, params
+
+
 def _add_parameter_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t", type=int, required=True, help="anchored path length")
     p.add_argument("--mtilde", type=int, required=True, help="rerouting pairs per part")
@@ -220,12 +232,7 @@ def cmd_ham_path(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    g = _load_graph(args.hg)
-    chi = _load_colouring(args.col, g)
-    cycle = _load_cycle(args.cycle, g)
-    anchor = _path_spec(args.p0, g.k)
-    params = _params_from_args(args, g.k)
-    _note_hypotheses(args, g, chi, params)
+    g, chi, cycle, anchor, params = _load_anchored(args)
     accepted = 0
     for trial in range(args.trials):
         started = time.monotonic()
@@ -253,12 +260,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    g = _load_graph(args.hg)
-    chi = _load_colouring(args.col, g)
-    cycle = _load_cycle(args.cycle, g)
-    anchor = _path_spec(args.p0, g.k)
-    params = _params_from_args(args, g.k)
-    _note_hypotheses(args, g, chi, params)
+    g, chi, cycle, anchor, params = _load_anchored(args)
     estimate = estimate_suitable_fraction(
         g, chi, cycle, anchor, params, args.trials,
         PipelineConfig(seed=args.seed, partition_budget=200, structural=not args.strict),
@@ -324,12 +326,7 @@ def _switching_record(result) -> dict:
 
 
 def cmd_switch(args) -> int:
-    g = _load_graph(args.hg)
-    chi = _load_colouring(args.col, g)
-    cycle = _load_cycle(args.cycle, g)
-    anchor = _path_spec(args.p0, g.k)
-    params = _params_from_args(args, g.k)
-    _note_hypotheses(args, g, chi, params)
+    g, chi, cycle, anchor, params = _load_anchored(args)
     if args.sample:
         result = sample_switching(
             g, chi, cycle, anchor, params,
@@ -429,6 +426,20 @@ def cmd_verify(args) -> int:
     return EXIT_OK if rainbow else EXIT_NEGATIVE
 
 
+def _add_anchored_command(sub, name: str, summary: str, handler, own_flags) -> None:
+    """A subcommand that loads its inputs through _load_anchored: the shared
+    input flags, then its own flags, then the parameter flags."""
+    p = sub.add_parser(name, help=summary)
+    for flag in ("--hg", "--col", "--cycle"):
+        p.add_argument(flag, required=True)
+    p.add_argument("--p0", required=True, help='anchor path, e.g. "0 1 2" or @file')
+    p.add_argument("--seed", type=int, required=True)
+    for flag, options in own_flags:
+        p.add_argument(flag, **options)
+    _add_parameter_flags(p)
+    p.set_defaults(handler=handler)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loosehc",
@@ -465,25 +476,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forbid", help="file of vertex pairs no edge may contain")
     p.set_defaults(handler=cmd_ham_path)
 
-    p = sub.add_parser("sample", help="sample splittings and check the events")
-    for name in ("--hg", "--col", "--cycle"):
-        p.add_argument(name, required=True)
-    p.add_argument("--p0", required=True, help='anchor path, e.g. "0 1 2" or @file')
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trials", type=int, default=1)
-    _add_parameter_flags(p)
-    p.set_defaults(handler=cmd_sample)
-
-    p = sub.add_parser("estimate", help="Monte-Carlo suitable+viable fraction")
-    for name in ("--hg", "--col", "--cycle"):
-        p.add_argument(name, required=True)
-    p.add_argument("--p0", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--strict", action="store_true",
-                   help="gate partitions on all conditions, not just the quota")
-    _add_parameter_flags(p)
-    p.set_defaults(handler=cmd_estimate)
+    _add_anchored_command(sub, "sample", "sample splittings and check the events", cmd_sample, (
+        ("--trials", dict(type=int, default=1)),
+    ))
+    _add_anchored_command(sub, "estimate", "Monte-Carlo suitable+viable fraction", cmd_estimate, (
+        ("--trials", dict(type=int, required=True)),
+        ("--strict", dict(action="store_true",
+                          help="gate partitions on all conditions, not just the quota")),
+    ))
 
     p = sub.add_parser("tile", help="cover a graph by paths with given endpoints")
     p.add_argument("--hg", required=True)
@@ -502,19 +502,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.0)
     p.set_defaults(handler=cmd_tile)
 
-    p = sub.add_parser("switch", help="build a feasible switching")
-    for name in ("--hg", "--col", "--cycle"):
-        p.add_argument(name, required=True)
-    p.add_argument("--p0", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--sample", action="store_true",
-                   help="sample the splitting and partition internally")
-    p.add_argument("--splitting", help="file: one path per line")
-    p.add_argument("--partition", help="file: one part per line")
-    p.add_argument("--strict", action="store_true",
-                   help="require the event gate before building")
-    _add_parameter_flags(p)
-    p.set_defaults(handler=cmd_switch)
+    _add_anchored_command(sub, "switch", "build a feasible switching", cmd_switch, (
+        ("--sample", dict(action="store_true",
+                          help="sample the splitting and partition internally")),
+        ("--splitting", dict(help="file: one path per line")),
+        ("--partition", dict(help="file: one part per line")),
+        ("--strict", dict(action="store_true", help="require the event gate before building")),
+    ))
 
     p = sub.add_parser("construct", help="emit the explicit colourings")
     p.add_argument("what", choices=["tight-cx", "prefix"])

@@ -146,17 +146,12 @@ def induced(g: Hypergraph, w: Iterable[int]) -> tuple[Hypergraph, tuple[int, ...
     return Hypergraph(len(old_ids), g.k, sub_edges), old_ids
 
 
-def j_degrees_within(g: Hypergraph, w: Iterable[int], j: int) -> Counter[tuple[int, ...]]:
-    """For each sorted j-tuple, the number of edges inside w containing it,
-    counted in one pass over those edges.  A j-set of w in no such edge
-    counts 0."""
-    return Counter(s for e in edges_within(g, w) for s in combinations(e, j))
-
-
 def min_j_degree_within(g: Hypergraph, w: Iterable[int], j: int) -> int:
-    """Minimum j-degree of the subgraph induced on w, without relabelling."""
+    """Minimum j-degree of the subgraph induced on w, without relabelling.
+    The degrees are counted in one pass over the edges inside w; a j-set of
+    w in no such edge counts 0."""
     w = sorted(_check_vertex_set(g, w, "W"))
-    degrees = j_degrees_within(g, w, j)
+    degrees = Counter(s for e in edges_within(g, w) for s in combinations(e, j))
     return min(degrees[s] for s in combinations(w, j))
 
 

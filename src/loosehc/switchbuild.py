@@ -10,13 +10,13 @@ Hamilton cycle.
 
 The builder checks its result through the predicate module, is_switching
 and is_feasible, and returns both reports; callers assert on those reports
-rather than run the predicates a second time.  Nothing is trusted from
-construction.
+rather than run the predicates a second time.  Those two predicates are the
+only checks of a built switching: nothing is trusted from construction.
 """
 
 from dataclasses import dataclass, replace
 
-from .colouring import Colouring, is_rainbow, shares_colour
+from .colouring import Colouring
 from .cycles import LooseCycle, LoosePath, Violation, validate_loose_cycle
 from .graphs import PairGraph
 from .hypergraph import (
@@ -53,8 +53,6 @@ class SwitchBuildResult:
     switching: Switching
     switching_report: CheckReport
     feasibility: CheckReport
-    cross_colour_ok: bool   # trimmed collections of distinct parts never share a colour
-    union_rainbow: bool     # the union of all trimmed collections is rainbow
 
 
 def part_labels(splitting: Splitting, partition: TransversePartition) -> list[list[int]]:
@@ -109,7 +107,7 @@ def _filtered_part_edges(
     that repeat a host colour."""
     kept = []
     for e in edges_within(g, part):
-        if anchor_vertex not in e and chi.colour(e) in host_colours:
+        if anchor_vertex not in e and chi.by_edge[e] in host_colours:
             continue
         kept.append(e)
     return kept
@@ -197,11 +195,9 @@ def build_feasible_switching(
 
     labels = part_labels(splitting, partition)
     host_colours = {chi.by_edge[e] for e in host.edge_sequence}
-    untouched = host.edges_avoiding(splitting.interiors)
 
     new_paths: list[LoosePath] = []
     trimmed: list[list[tuple[int, ...]]] = []
-    cross_ok = True
     for h in range(part_count):
         part = partition.parts[h]
         anchor_vertex = labels[h][0]
@@ -240,35 +236,24 @@ def build_feasible_switching(
             e for p in part_paths for e in p.edges if anchor_vertex not in e
         ]
         # The filter guarantees trimmed edges never repeat a host colour.
-        assert all(chi.colour(e) not in host_colours for e in edges_here)
-        for prior_edges in trimmed:
-            if shares_colour(chi, edges_here, prior_edges):
-                cross_ok = False
+        assert all(chi.by_edge[e] not in host_colours for e in edges_here)
         trimmed.append(edges_here)
 
-    union_rainbow = is_rainbow(chi, [e for bucket in trimmed for e in bucket])
-    if config.require_events:
-        assert cross_ok, "suitable splittings never share colours across parts"
-        assert union_rainbow, "suitable splittings keep the fresh edges rainbow"
-
+    # is_switching validates the new splitting ("shape") and compares the
+    # edges outside it with the host's ("outside-unchanged").  The trimmed
+    # edges avoid the anchor, so they are among is_feasible's fresh edges,
+    # and "internal-rainbow" covers their colours across and within parts.
     new_cycle = _assemble_cycle(g, splitting, new_paths)
-    new_split = validate_splitting(new_cycle, tuple(new_paths), "bounded", 2 * t)
-    if isinstance(new_split, Violation):
-        raise AssertionError(f"new paths do not split the new cycle: {new_split}")
-    switching = Switching(anchor, host, splitting, new_cycle, new_split)
-
+    new_split = Splitting(new_cycle, tuple(new_paths))
     switching_report = is_switching(
         anchor, host, splitting, new_cycle, new_split, graph=g
     )
     assert switching_report.ok, f"builder emitted a non-switching: {switching_report}"
-    assert new_cycle.edges_avoiding(new_split.interiors) and \
-        sorted(new_cycle.edges_avoiding(new_split.interiors)) == sorted(untouched)
+    switching = Switching(anchor, host, splitting, new_cycle, new_split)
     feasibility = is_feasible(switching, chi)
     if config.require_events:
         assert feasibility.ok, f"suitability promised feasibility: {feasibility}"
-    return SwitchBuildResult(
-        switching, switching_report, feasibility, cross_ok, union_rainbow
-    )
+    return SwitchBuildResult(switching, switching_report, feasibility)
 
 
 def sample_switching(
@@ -301,18 +286,13 @@ def sample_switching(
         if sample.size != params.split_size:
             continue
         if config.require_events:
-            outcome = accept_suitable(sample, g, chi, params)
-            if not outcome.accepted:
-                continue
-            splitting = outcome.splitting
+            splitting = accept_suitable(sample, g, chi, params).splitting
         else:
-            checked = validate_splitting(
+            splitting = validate_splitting(
                 host, sample.all_paths, "balanced", params.path_len
             )
-            if not isinstance(checked, Splitting):
-                continue
-            splitting = checked
-
+        if not isinstance(splitting, Splitting):
+            continue
         for attempt in range(config.partition_tries):
             try:
                 drawn = draw_viable_partition(

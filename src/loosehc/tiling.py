@@ -173,7 +173,8 @@ def sample_claim_partition(
     """Uniform independent assignments of the free vertices into one block
     per pair, one draw for each of the config.claim_budget attempts;
     yields each assignment that meets the acceptance conditions, in
-    attempt order.
+    attempt order.  A forced partition (one pair, or no free vertex) is
+    the same at every attempt, so it is drawn and gated once.
 
     Conditions: "part-sizes" (each block size within beta*t of
     (t-1)*(k-1)), "no-very-bad" (every block's trapped conflict edges
@@ -220,8 +221,9 @@ def sample_claim_partition(
     # no draw is needed, and in structural mode the goodness gate is
     # pointless.
     forced = mt == 1 or not free
+    attempts = 1 if forced else config.claim_budget
     failures: dict[str, int] = {}
-    for attempt in range(config.claim_budget):
+    for attempt in range(attempts):
         if forced:
             assignment = [0] * len(free)
         else:
@@ -252,7 +254,7 @@ def sample_claim_partition(
     if failures:
         raise TilingInfeasible(
             "claim-partition",
-            f"no acceptable partition in {config.claim_budget} attempts "
+            f"no acceptable partition in {attempts} attempts "
             f"(failures: {failures})",
         )
 
@@ -362,11 +364,11 @@ def build_path_tiling(
     # A partition that passes the claim conditions can still strand the
     # spanning-path stage at desk scale, so the tail of the pipeline moves
     # on to the next accepted partition, at most 25 times.  A partition
-    # whose blocks were all tried before, in any order, ends the tiling.
-    tried: set[frozenset[frozenset[int]]] = set()
+    # that was tried before, the same block for each pair, ends the tiling.
+    tried: set[tuple[frozenset[int], ...]] = set()
     for parts in sample_claim_partition(req, reservoirs, params, config):
         parts = repair_bad_parts(req, reservoirs, parts)
-        key = frozenset(frozenset(p) for p in parts)
+        key = tuple(map(frozenset, parts))
         if key in tried:
             raise failure
         tried.add(key)

@@ -1,11 +1,14 @@
+import sys
+
 import pytest
 
-from loosehc import sampler
+from loosehc import colouring, sampler, splitting, switchbuild
 from loosehc.colouring import Colouring
 from loosehc.cycles import increasing_path, validate_loose_cycle
 from loosehc.hypergraph import Hypergraph, InvalidInput, Parameters
 from loosehc.sampler import sample_splitting
 from loosehc.splitting import (
+    CheckReport,
     Splitting,
     TransversePartition,
     is_feasible,
@@ -104,10 +107,45 @@ def test_build_feasible_switching_injective():
                           sw.new_cycle, sw.new_splitting, graph=g)
     assert report.ok, str(report)
     assert is_feasible(sw, chi).ok
-    assert result.cross_colour_ok and result.union_rainbow
     # New splitting paths live inside single parts.
     for p in sw.new_splitting.paths:
         assert len({partition.part_of[v] for v in p.vertices}) == 1
+
+
+def test_builder_checks_through_the_predicates_only(monkeypatch):
+    # The new splitting is validated once, by is_switching's "shape", and
+    # the fresh edges' colours once, by is_feasible's "internal-rainbow".
+    callers = {"validate_splitting": [], "is_rainbow": []}
+    for name, calls in callers.items():
+        real = getattr(splitting, name)
+
+        def counted(*args, real=real, calls=calls):
+            calls.append(sys._getframe(1).f_code.co_name)
+            return real(*args)
+
+        for module in (splitting, switchbuild, colouring):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    g, cycle, s = splitting_n12()
+    partition, rerouting = viable_n12(s)
+    build_feasible_switching(
+        cycle, s.paths[0], s, partition, rerouting, g, Colouring.injective(g),
+        desk_params(), PipelineConfig(seed=1),
+    )
+    assert callers == {"validate_splitting": ["is_switching", "is_switching"],
+                       "is_rainbow": ["is_feasible"]}
+
+
+def test_builder_asserts_the_feasibility_suitability_promises(monkeypatch):
+    g, cycle, s = splitting_n12()
+    partition, rerouting = viable_n12(s)
+    monkeypatch.setattr(switchbuild, "is_feasible", lambda switching, chi: CheckReport(
+        False, {"internal-rainbow": False}, {}))
+    with pytest.raises(AssertionError, match="suitability promised feasibility"):
+        build_feasible_switching(
+            cycle, s.paths[0], s, partition, rerouting, g, Colouring.injective(g),
+            desk_params(), PipelineConfig(seed=1, require_events=True),
+        )
 
 
 def test_build_feasible_switching_rejects_misplaced_anchor():
@@ -227,7 +265,6 @@ def test_sample_switching_through_the_event_gate(seed):
     result = sample_switching(g, chi, cycle, anchor, desk_params(),
                               PipelineConfig(seed=seed, require_events=True))
     assert result is not None
-    assert result.cross_colour_ok and result.union_rainbow
     sw = result.switching
     assert is_switching(sw.anchor, sw.host, sw.splitting, sw.new_cycle,
                         sw.new_splitting, graph=g).ok

@@ -247,8 +247,8 @@ def test_validate_path_tiling_catches_bad_endpoints():
 
 def test_forced_block_without_a_path_fails_after_one_oracle_call(monkeypatch):
     # One pair and one free vertex: the only partition is forced, and the
-    # edgeless host has no spanning path.  The same partition comes back on
-    # the next claim attempt, so the oracle runs once.
+    # edgeless host has no spanning path.  A forced partition is drawn once,
+    # so the oracle runs once and its failure ends the tiling.
     req = TilingRequest(Hypergraph(3, 3, ()), ((0, 1),), PairGraph.empty(), 1)
     calls = []
     real_find = tiling.find_loose_hamilton_path
@@ -273,7 +273,8 @@ def test_strict_claim_gate_checks_part_degrees():
     with pytest.raises(TilingInfeasible) as err:
         build_path_tiling(req, demanding, config)
     assert err.value.stage == "claim-partition"
-    assert err.value.detail == "no acceptable partition in 7 attempts (failures: {'part-degrees': 7})"
+    # One pair forces the partition, so it is drawn and gated only once.
+    assert err.value.detail == "no acceptable partition in 1 attempts (failures: {'part-degrees': 1})"
 
 
 def random_graph(n, density, seed):
@@ -312,10 +313,12 @@ def test_tiling_retries_a_later_partition_after_a_failed_one(monkeypatch):
 
 def test_tiling_stops_when_a_failed_partition_comes_back(monkeypatch):
     # Draws 2 and 3 are rejected.  Draw 4 gives the second partition's
-    # blocks to the other pairs, and a partition is known by its blocks.
+    # blocks to the other pairs, which is a new partition and is tiled;
+    # draw 5 repeats the second partition block for block.
     outcome, draws, repaired, tiled = traced_tiling(monkeypatch, 0, 10)
-    assert draws == [0, 1, 2, 3, 4]
-    assert tiled == [FIRST, SECOND] and repaired == [FIRST, SECOND, SECOND[::-1]]
+    assert draws == [0, 1, 2, 3, 4, 5]
+    assert tiled == [FIRST, SECOND, SECOND[::-1]]
+    assert repaired == [FIRST, SECOND, SECOND[::-1], SECOND]
     assert (outcome.stage, outcome.detail) == ("ham-path", "no conflict-free spanning path in block 0")
 
 
