@@ -212,9 +212,7 @@ def build_feasible_switching(
         request = TilingRequest(
             sub,
             tuple(tuple(sorted((to_new[a], to_new[b]))) for a, b in pairs_by_part[h]),
-            PairGraph.from_pairs(
-                (to_new[u], to_new[v]) for u, v in conflict.edges_inside(part)
-            ),
+            PairGraph.from_pairs((to_new[u], to_new[v]) for u, v in conflict.edges),
             t,
         )
         try:

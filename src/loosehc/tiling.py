@@ -81,7 +81,6 @@ class TilingRequest:
 @dataclass(frozen=True)
 class PathTiling:
     paths: tuple[LoosePath, ...]
-    parts: tuple[frozenset[int], ...]
 
 
 def choose_reservoirs(req: TilingRequest) -> tuple[tuple[int, ...], ...]:
@@ -145,26 +144,18 @@ def _block_plus(req, reservoirs, parts, p: int) -> set[int]:
     return set(parts[p]) | set(req.pairs[p]) | set(reservoirs[p]) | set(reservoirs[p + 1])
 
 
-def _non_pair_conflicts(req, reservoirs, parts, p: int) -> list[tuple[int, int]]:
+def _trapped(req, reservoirs, parts, p: int) -> list[tuple[int, int]]:
+    """The conflict edges block p traps: those inside its extended set
+    other than its own pair.  The block is good when there are none."""
     plus = _block_plus(req, reservoirs, parts, p)
     pair = tuple(sorted(req.pairs[p]))
     return [e for e in req.conflicts.edges_inside(plus) if e != pair]
 
 
-def _is_good(req, reservoirs, parts, p: int) -> bool:
-    return not _non_pair_conflicts(req, reservoirs, parts, p)
-
-
-def _is_very_bad(req, reservoirs, parts, p: int) -> bool:
-    """Bad, and no single removable vertex of the block restores goodness."""
-    offending = _non_pair_conflicts(req, reservoirs, parts, p)
-    if not offending:
-        return False
-    part = parts[p]
-    for z in part:
-        if all(z in e for e in offending):
-            return False
-    return True
+def _covers(part, trapped) -> list[int]:
+    """The block's vertices that lie in every trapped edge, sorted.  A bad
+    block none of whose vertices covers its trapped edges is very bad."""
+    return sorted(set(part).intersection(*trapped))
 
 
 def sample_claim_partition(
@@ -234,11 +225,13 @@ def sample_claim_partition(
             parts[int(p)].add(v)
 
         gated = not structural or (not forced and attempt < 100)
-        if not all(low <= len(part) <= high for part in parts):
+        sized = all(low <= len(part) <= high for part in parts)
+        trapped = [_trapped(req, reservoirs, parts, p) for p in range(mt)] if sized and gated else []
+        if not sized:
             failure = "part-sizes"
-        elif gated and any(_is_very_bad(req, reservoirs, parts, p) for p in range(mt)):
+        elif any(edges and not _covers(part, edges) for part, edges in zip(parts, trapped)):
             failure = "no-very-bad"
-        elif gated and sum(not _is_good(req, reservoirs, parts, p) for p in range(mt)) > bad_cap:
+        elif sum(map(bool, trapped)) > bad_cap:
             failure = "bad-count"
         elif not structural and any(
             relative_degree(g, s, plus) < degree_floor * len(plus) ** (k - params.j)
@@ -264,8 +257,13 @@ def repair_bad_parts(req: TilingRequest, reservoirs, parts) -> list[set[int]]:
 
     For a bad block, the moved vertex must cover all its trapped non-pair
     conflict edges (guaranteed possible when the block is not very bad).
-    Targets are distinct across moves; all choices are lexicographically
-    least valid.
+    Targets are originally good blocks, distinct across moves; all choices
+    are lexicographically least valid.
+
+    The trapped edges are read once: a free vertex z is no pair or
+    reservoir vertex, so removing it leaves block p good iff z covers
+    p's trapped edges, and a target q that is still untouched stays good
+    with z added iff z has no conflict neighbour in q's extended set.
 
     Unfixable blocks are left in place: the spanning-path oracle
     downstream enforces conflict avoidance regardless, and at small scale
@@ -273,33 +271,20 @@ def repair_bad_parts(req: TilingRequest, reservoirs, parts) -> list[set[int]]:
     tiling itself is feasible.
     """
     parts = [set(p) for p in parts]
-    mt = req.pair_count
-    bad = [p for p in range(mt) if not _is_good(req, reservoirs, parts, p)]
-    originally_good = set(range(mt)) - set(bad)
-    used_targets: set[int] = set()
-    for p in bad:
-        movable = []
-        for z in sorted(parts[p]):
+    trapped = [_trapped(req, reservoirs, parts, p) for p in range(req.pair_count)]
+    targets = [q for q, edges in enumerate(trapped) if not edges]
+    for p, edges in enumerate(trapped):
+        moves = (
+            (z, q)
+            for z in (_covers(parts[p], edges) if edges else ())
+            for q in targets
+            if req.conflicts.neighbours(z).isdisjoint(_block_plus(req, reservoirs, parts, q))
+        )
+        for z, q in moves:
             parts[p].discard(z)
-            if _is_good(req, reservoirs, parts, p):
-                movable.append(z)
-            parts[p].add(z)
-        done = False
-        for z in movable:
-            for q in sorted(originally_good - used_targets):
-                trial = parts[q] | {z}
-                saved = parts[q]
-                parts[q] = trial
-                ok = _is_good(req, reservoirs, parts, q)
-                parts[q] = saved
-                if ok:
-                    parts[p].discard(z)
-                    parts[q].add(z)
-                    used_targets.add(q)
-                    done = True
-                    break
-            if done:
-                break
+            parts[q].add(z)
+            targets.remove(q)
+            break
     return parts
 
 
@@ -374,7 +359,7 @@ def build_path_tiling(
         tried.add(key)
         finals = fix_divisibility(req, reservoirs, parts)
         try:
-            return PathTiling(tuple(_tile_blocks(req, finals)), tuple(finals))
+            return PathTiling(tuple(_tile_blocks(req, finals)))
         except TilingInfeasible as exc:
             failure = exc
         if len(tried) == 25:
@@ -399,8 +384,6 @@ def _tile_blocks(req: TilingRequest, finals) -> list[LoosePath]:
                 "ham-path", f"no conflict-free spanning path in block {p}"
             )
         path = LoosePath(tuple(old_ids[v] for v in found.vertices), k)
-        if path.vertices[0] != a:
-            path = LoosePath(path.vertices[::-1], k)
         if path.length > 2 * req.path_len:
             raise TilingInfeasible(
                 "ham-path", f"block {p} forces length {path.length} > {2 * req.path_len}"

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import loosehc
+from loosehc import cli
 from loosehc.cli import main
 from loosehc.colouring import Colouring, format_colouring
 from loosehc.constructions import tight_counterexample
@@ -348,3 +349,62 @@ def test_switch_sample_strict_on_k30(tmp_path, capsys):
     )
     assert code == 0
     assert records[0]["feasible"] is True
+
+
+def run_with_manifest(capsys, tmp_path, *argv):
+    manifest = tmp_path / "manifest.json"
+    code, records, _ = run(capsys, "--manifest", manifest, *argv)
+    return code, records, json.loads(manifest.read_text())["exit_code"]
+
+
+def test_tile_strict_t1_refuses_the_claim_partition(tmp_path, capsys):
+    # The strict window at t = 1 is [-0.5, 0.5], but K5 with one pair
+    # leaves three free vertices.
+    (tmp_path / "g.hg").write_text(format_hypergraph(Hypergraph.complete(5, 3)))
+    (tmp_path / "pairs.txt").write_text("0 1\n")
+    assert run_with_manifest(
+        capsys, tmp_path, "tile", "--hg", tmp_path / "g.hg", "--pairs", tmp_path / "pairs.txt",
+        "--t", 1, "--seed", 1, "--strict",
+    ) == (1, [{
+        "type": "tiling", "status": "infeasible", "stage": "claim-partition",
+        "detail": "part-sizes: no 1 block sizes in [0, 0] add up to 3, the number of free vertices",
+    }], 1)
+
+
+def test_switch_sample_reports_an_exhausted_budget(files, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sample_switching", lambda *args: None)
+    assert run_with_manifest(
+        capsys, files, "switch", "--hg", files / "g.hg", "--col", files / "g.col",
+        "--cycle", files / "cycle.txt", "--p0", "0 1 2",
+        "--seed", 3, "--t", 1, "--mtilde", 1, "--sample",
+    ) == (3, [{"type": "switching", "status": "budget-exhausted"}], 3)
+
+
+def switch_from_files(capsys, files, hg, col, partition):
+    (files / "splitting.txt").write_text("0 1 2\n4 5 6\n8 9 10\n")
+    (files / "partition.txt").write_text(partition)
+    return run_with_manifest(
+        capsys, files, "switch", "--hg", hg, "--col", col,
+        "--cycle", files / "cycle.txt", "--p0", "0 1 2",
+        "--seed", 1, "--t", 1, "--mtilde", 1,
+        "--splitting", files / "splitting.txt", "--partition", files / "partition.txt",
+    )
+
+
+def test_switch_from_files_without_a_quota_rerouting(files, capsys):
+    # Every entry lies in the first part, which then needs all three pairs.
+    assert switch_from_files(
+        capsys, files, files / "g.hg", files / "g.col", "0 4 8\n1 5 9\n2 6 10\n"
+    ) == (1, [{"type": "switching", "status": "no-rerouting"}], 1)
+
+
+def test_switch_from_files_with_an_untileable_part(files, capsys):
+    # With t = 1 the first part {1, 4, 10} must be the one edge between its
+    # pair (4, 10); that edge is missing from the host.
+    g = Hypergraph.complete(12, 3)
+    g = Hypergraph(12, 3, tuple(e for e in g.edges if e != (1, 4, 10)))
+    (files / "h.hg").write_text(format_hypergraph(g))
+    (files / "h.col").write_text(format_colouring(Colouring.injective(g)))
+    assert switch_from_files(
+        capsys, files, files / "h.hg", files / "h.col", "1 4 10\n2 5 8\n0 6 9\n"
+    ) == (1, [{"type": "switching", "status": "infeasible", "stage": "part-0:ham-path"}], 1)

@@ -21,6 +21,7 @@ from loosehc.hypergraph import (
 from loosehc.oracles import find_hamilton_dicycle
 from loosehc.rng import stream
 from loosehc.sampler import (
+    BudgetExhausted,
     SampledSplitting,
     accept_suitable,
     build_aux_digraph,
@@ -713,3 +714,32 @@ def test_refused_runs_open_no_stream(monkeypatch):
         switchbuild.sample_switching(g, chi, cycle, anchor, desk_params(beta=0.1, epsilon=0.05),
                                      replace(config, require_events=False))
     assert keys == []
+
+
+def test_sample_transverse_partition_raises_once_its_budget_is_spent(monkeypatch):
+    # At seed 3 the first three draws miss the exit quota and the fourth
+    # meets it, so a budget of three is spent on three gated draws.
+    g = Hypergraph.complete(12, 3)
+    s = splitting_n12(g)
+    gated = []
+    real_conditions = sampler.partition_conditions
+
+    def traced_conditions(*args):
+        report = real_conditions(*args)
+        gated.append(report.ok)
+        return report
+
+    monkeypatch.setattr(sampler, "partition_conditions", traced_conditions)
+    with pytest.raises(BudgetExhausted) as err:
+        sample_transverse_partition(s, g, desk_params(), PipelineConfig(seed=3, partition_budget=3))
+    assert err.value.stage == "transverse-partition"
+    assert str(err.value) == "transverse-partition: no acceptable partition in 3 attempts"
+    assert gated == [False] * 3
+    result = sample_transverse_partition(s, g, desk_params(), PipelineConfig(seed=3, partition_budget=4))
+    assert result.attempts == 4 and gated[3:] == [False] * 3 + [True]
+
+
+def test_draw_viable_partition_is_none_without_a_dicycle(monkeypatch):
+    g = Hypergraph.complete(12, 3)
+    monkeypatch.setattr(sampler, "find_hamilton_dicycle", lambda digraph: None)
+    assert sampler.draw_viable_partition(splitting_n12(g), g, desk_params(), PipelineConfig(seed=2)) is None

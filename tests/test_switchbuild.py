@@ -6,7 +6,8 @@ from loosehc import colouring, sampler, splitting, switchbuild
 from loosehc.colouring import Colouring
 from loosehc.cycles import increasing_path, validate_loose_cycle
 from loosehc.hypergraph import Hypergraph, InvalidInput, Parameters
-from loosehc.sampler import sample_splitting
+from loosehc.rng import child_seed
+from loosehc.sampler import BudgetExhausted, sample_splitting
 from loosehc.splitting import (
     CheckReport,
     Splitting,
@@ -22,6 +23,7 @@ from loosehc.switchbuild import (
     part_labels,
     sample_switching,
 )
+from loosehc.tiling import TilingInfeasible
 
 
 def desk_params(**overrides):
@@ -316,3 +318,101 @@ def test_size_rejected_trials_grow_no_path(monkeypatch):
                               PipelineConfig(seed=5, sample_budget=len(sizes) - 1))
     assert result is None
     assert grown == []
+
+
+def k12_anchor():
+    g = Hypergraph.complete(12, 3)
+    cycle = validate_loose_cycle(g, range(12))
+    return g, Colouring.injective(g), cycle, increasing_path(cycle, cycle.edge_sequence[0], 1)
+
+
+def passthrough(call, real, *args):
+    return real(*args)
+
+
+def traced_pipeline(monkeypatch, config, draw=passthrough, build=passthrough):
+    """Run sample_switching on K12 with the partition draw (and optionally
+    the build) replaced; each replacement is called with its call number
+    and the real function.  Returns the result and the (trial, attempt)
+    that each partition draw's child seed encodes."""
+    index = {
+        child_seed(config.seed, "pipeline-partition", trial * 1000 + attempt): (trial, attempt)
+        for trial in range(config.sample_budget) for attempt in range(config.partition_tries)
+    }
+    draws, builds = [], []
+    real_draw, real_build = switchbuild.draw_viable_partition, switchbuild.build_feasible_switching
+
+    def traced_draw(*args):
+        draws.append(index[args[-1].seed])
+        return draw(len(draws), real_draw, *args)
+
+    def traced_build(*args):
+        builds.append(args)
+        return build(len(builds), real_build, *args)
+
+    monkeypatch.setattr(switchbuild, "draw_viable_partition", traced_draw)
+    monkeypatch.setattr(switchbuild, "build_feasible_switching", traced_build)
+    g, chi, cycle, anchor = k12_anchor()
+    return sample_switching(g, chi, cycle, anchor, desk_params(), config), draws
+
+
+def test_an_exhausted_partition_budget_moves_on_to_the_next_sample(monkeypatch):
+    # Trial 0 is the first whose sample has the right size; the next is 116.
+    def exhausted_once(call, real, *args):
+        if call == 1:
+            raise BudgetExhausted("transverse-partition", "no acceptable partition")
+        return real(*args)
+
+    result, draws = traced_pipeline(monkeypatch, PipelineConfig(seed=3), draw=exhausted_once)
+    assert result is not None and draws == [(0, 0), (116, 0)]
+
+
+def test_no_dicycle_moves_on_to_the_next_attempt(monkeypatch):
+    result, draws = traced_pipeline(
+        monkeypatch, PipelineConfig(seed=3),
+        draw=lambda call, real, *args: None if call == 1 else real(*args),
+    )
+    assert result is not None and draws == [(0, 0), (0, 1)]
+
+
+def test_an_untileable_build_moves_on_to_the_next_attempt(monkeypatch):
+    def infeasible_once(call, real, *args):
+        if call == 1:
+            raise TilingInfeasible("part-0:ham-path", "no conflict-free spanning path in block 0")
+        return real(*args)
+
+    result, draws = traced_pipeline(monkeypatch, PipelineConfig(seed=3), build=infeasible_once)
+    assert result is not None and draws == [(0, 0), (0, 1)]
+
+
+def test_sample_switching_returns_none_when_every_budget_runs_out(monkeypatch):
+    result, draws = traced_pipeline(
+        monkeypatch, PipelineConfig(seed=3, sample_budget=120, partition_tries=3),
+        draw=lambda call, real, *args: None,
+    )
+    assert result is None
+    assert draws == [(0, 0), (0, 1), (0, 2), (116, 0), (116, 1), (116, 2)]
+
+
+def test_a_part_failure_is_reraised_naming_the_part(monkeypatch):
+    real_tiling = switchbuild.build_path_tiling
+    calls = []
+
+    def second_part_fails(request, params, config):
+        calls.append(request)
+        if len(calls) == 2:
+            raise TilingInfeasible("ham-path", "no conflict-free spanning path in block 0")
+        return real_tiling(request, params, config)
+
+    monkeypatch.setattr(switchbuild, "build_path_tiling", second_part_fails)
+    g, cycle, s = splitting_n12()
+    partition, rerouting = viable_n12(s)
+    with pytest.raises(TilingInfeasible) as err:
+        build_feasible_switching(
+            cycle, s.paths[0], s, partition, rerouting, g, Colouring.injective(g),
+            desk_params(), PipelineConfig(seed=1),
+        )
+    assert (err.value.stage, err.value.detail) == (
+        "part-1:ham-path", "no conflict-free spanning path in block 0"
+    )
+    assert err.value.__cause__.stage == "ham-path" and len(calls) == 2

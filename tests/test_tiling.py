@@ -1,7 +1,9 @@
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loosehc import tiling
 from loosehc.constructions import first_prefix_colouring
@@ -335,3 +337,163 @@ def test_tiling_raises_claim_partition_when_the_budget_ends_on_rejections(monkey
     assert (outcome.stage, outcome.detail) == (
         "claim-partition", "no acceptable partition in 3 attempts (failures: {'part-sizes': 1})"
     )
+
+
+def test_no_very_bad_gate_counts_its_rejections():
+    # A conflict matching on the free vertices: a block holding two of its
+    # edges has no vertex in both, so it is very bad.  The first five draws
+    # are all rejected, three of them by this gate.
+    matching = [(2 * i, 2 * i + 1) for i in range(7)]
+    req = request(14, [(0, 1), (7, 8)], matching)
+    with pytest.raises(TilingInfeasible) as err:
+        build_path_tiling(req, PARAMS, PipelineConfig(seed=1, claim_budget=5))
+    assert err.value.stage == "claim-partition"
+    assert err.value.detail == (
+        "no acceptable partition in 5 attempts (failures: {'no-very-bad': 3, 'part-sizes': 2})"
+    )
+
+
+class FixedDraw:
+    """A stand-in for a claim stream whose draw is a given assignment."""
+
+    def __init__(self, assignment):
+        self.assignment = assignment
+
+    def integers(self, high, size):
+        assert len(self.assignment) == size and max(self.assignment) < high
+        return self.assignment
+
+
+@pytest.mark.parametrize("bad_blocks, verdict", [(27, "accepted"), (28, "bad-count")])
+def test_bad_count_gate_caps_the_bad_blocks_at_t3_k3(monkeypatch, bad_blocks, verdict):
+    # At k = 3, t = 1 the structural window admits blocks of 0 or 1 free
+    # vertices and the cap is t^3 k^3 = 27.  28 pairs, 27 reservoir vertices
+    # and 28 free vertices, one per block; the free vertex of block p
+    # conflicts with the pair vertex 2p for the first bad_blocks blocks.  A
+    # single trapping vertex covers its edge, so no block is very bad.
+    mt = 28
+    free = range(3 * mt - 1, 4 * mt - 1)
+    conflicts = [(2 * p, z) for p, z in enumerate(free) if p < bad_blocks]
+    req = TilingRequest(Hypergraph(4 * mt - 1, 3, ()), tuple((2 * p, 2 * p + 1) for p in range(mt)),
+                        PairGraph.from_pairs(conflicts), 1)
+    reservoirs = choose_reservoirs(req)
+    assert {v for w in reservoirs for v in w} == set(range(2 * mt, 3 * mt - 1))
+    monkeypatch.setattr(tiling, "stream", lambda *key: FixedDraw(list(range(mt))))
+    config = PipelineConfig(seed=1, claim_budget=1, structural=True)
+    try:
+        outcome = list(sample_claim_partition(req, reservoirs, PARAMS, config))
+    except TilingInfeasible as exc:
+        outcome = exc.detail
+    if verdict == "accepted":
+        assert outcome == [[{z} for z in free]]
+    else:
+        assert outcome == "no acceptable partition in 1 attempts (failures: {'bad-count': 1})"
+
+
+def test_reservoirs_refuse_a_slot_without_a_conflict_free_set():
+    # Every vertex outside the pairs conflicts with the pair vertex 0, so
+    # the one reservoir slot between the two pairs has no candidate.
+    req = request(8, [(0, 1), (2, 3)], [(0, v) for v in range(4, 8)])
+    with pytest.raises(TilingInfeasible) as err:
+        build_path_tiling(req, PARAMS, PipelineConfig(seed=1))
+    assert (err.value.stage, err.value.detail) == (
+        "reservoirs", "no conflict-free set of size 1 for slot 1"
+    )
+
+
+# Definition-level references: a block is good when its extended set holds
+# no conflict edge but its pair, very bad when it is bad and no single
+# removal of one of its vertices makes it good, and repair tries each move
+# by making it and rescanning.
+
+def reference_good(req, reservoirs, parts, p):
+    around = set(parts[p]) | set(req.pairs[p]) | set(reservoirs[p]) | set(reservoirs[p + 1])
+    return all(set(e) == set(req.pairs[p]) for e in req.conflicts.edges_inside(around))
+
+
+def reference_very_bad(req, reservoirs, parts, p):
+    if reference_good(req, reservoirs, parts, p):
+        return False
+    return not any(
+        reference_good(req, reservoirs, parts[:p] + [parts[p] - {z}] + parts[p + 1:], p)
+        for z in parts[p]
+    )
+
+
+def reference_repair(req, reservoirs, parts):
+    parts = [set(p) for p in parts]
+    mt = req.pair_count
+    bad = [p for p in range(mt) if not reference_good(req, reservoirs, parts, p)]
+    targets = [q for q in range(mt) if q not in bad]
+    for p in bad:
+        movable = [z for z in sorted(parts[p])
+                   if reference_good(req, reservoirs, parts[:p] + [parts[p] - {z}] + parts[p + 1:], p)]
+        moved = False
+        for z in movable:
+            for q in targets:
+                if reference_good(req, reservoirs, parts[:q] + [parts[q] | {z}] + parts[q + 1:], q):
+                    parts[p].discard(z)
+                    parts[q].add(z)
+                    targets.remove(q)
+                    moved = True
+                    break
+            if moved:
+                break
+    return parts
+
+
+@st.composite
+def claim_draws(draw):
+    """A structural k = 3 request whose free vertices are dealt round-robin
+    after a shuffle, so every block holds c or c + 1 of them, with c the
+    window's centre (t - 1)(k - 1): sizes the window always admits."""
+    t = draw(st.integers(1, 2))
+    mt = draw(st.integers(2, 6))
+    centre = 2 * (t - 1)
+    n = 3 * mt - 1 + centre * mt + draw(st.integers(1, mt))
+    cap = 2 * t * 9
+    degree = [0] * n
+    conflicts = []
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)):
+        if u != v and (min(u, v), max(u, v)) not in conflicts and max(degree[u], degree[v]) < cap:
+            conflicts.append((min(u, v), max(u, v)))
+            degree[u] += 1
+            degree[v] += 1
+    req = TilingRequest(Hypergraph(n, 3, ()), tuple((2 * p, 2 * p + 1) for p in range(mt)),
+                        PairGraph.from_pairs(conflicts), t)
+    return req, draw(st.randoms(use_true_random=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(claim_draws())
+def test_gates_and_repair_match_the_definitions(drawn):
+    req, rng = drawn
+    mt = req.pair_count
+    try:
+        reservoirs = choose_reservoirs(req)
+    except TilingInfeasible:
+        return
+    taken = req.pair_vertices | {v for w in reservoirs for v in w}
+    free = sorted(set(range(req.graph.n)) - taken)
+    order = free[:]
+    rng.shuffle(order)
+    block = {v: i % mt for i, v in enumerate(order)}
+    parts = [{v for v in free if block[v] == p} for p in range(mt)]
+    assert repair_bad_parts(req, reservoirs, parts) == reference_repair(req, reservoirs, parts)
+
+    if any(reference_very_bad(req, reservoirs, parts, p) for p in range(mt)):
+        expected = "no-very-bad"
+    elif sum(not reference_good(req, reservoirs, parts, p) for p in range(mt)) > 27 * req.path_len ** 3:
+        expected = "bad-count"
+    else:
+        expected = "accepted"
+    config = PipelineConfig(seed=0, claim_budget=1, structural=True)
+    try:
+        with mock.patch.object(tiling, "stream", lambda *key: FixedDraw([block[v] for v in free])):
+            accepted = list(sample_claim_partition(req, reservoirs, PARAMS, config))
+        verdict = "accepted" if accepted == [parts] else accepted
+    except TilingInfeasible as exc:
+        verdict = exc.detail
+    if expected != "accepted":
+        expected = f"no acceptable partition in 1 attempts (failures: {{'{expected}': 1}})"
+    assert verdict == expected
