@@ -41,6 +41,7 @@ from .hypergraph import (
     InvalidInput,
     Parameters,
     PipelineConfig,
+    data_lines,
     format_hypergraph,
     min_j_degree,
     parse_hypergraph,
@@ -54,13 +55,12 @@ from .oracles import (
     find_loose_hamilton_path,
 )
 from .sampler import (
-    BudgetExhausted,
     accept_suitable,
     check_events,
     estimate_suitable_fraction,
     sample_splitting,
 )
-from .search import find_rainbow_hamilton_cycle
+from .search import find_conflicts, find_rainbow_hamilton_cycle
 from .splitting import (
     Rerouting,
     TransversePartition,
@@ -107,20 +107,15 @@ def _load_cycle(path: str, g: Hypergraph) -> LooseCycle:
 
 
 def _load_vertex_lines(path: str) -> list[tuple[int, ...]]:
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append(parse_vertex_line(line))
-    return rows
+    return [row for _, row in data_lines(Path(path).read_text())]
 
 
 def _load_pairs(path: str) -> list[tuple[int, ...]]:
-    rows = _load_vertex_lines(path)
-    for row in rows:
+    rows = []
+    for lineno, row in data_lines(Path(path).read_text()):
         if len(row) != 2:
-            raise InvalidInput(f"pair line {format_vertex_line(row)!r} must have two vertices")
+            raise FormatError(lineno, f"expected two vertices, got {len(row)}")
+        rows.append(row)
     return rows
 
 
@@ -396,15 +391,12 @@ def cmd_search(args) -> int:
     result = find_rainbow_hamilton_cycle(
         g, chi, params, seed=args.seed, max_steps=args.max_steps, start=start
     )
-    remaining = 0 if result.success else (
-        result.log.steps[-1].get("conflicts", 0) if result.log.steps else 0
-    )
     emit({
         "type": "search",
         "status": "found" if result.success else "budget-exhausted",
         "steps": result.steps, "restarts": result.restarts,
         "cycle": list(result.cycle.vertices),
-        "remaining_conflicts": remaining,
+        "remaining_conflicts": len(find_conflicts(result.cycle, chi, params.path_len)),
     })
     human(("rainbow cycle found" if result.success else "no rainbow cycle")
           + f" after {result.steps} steps ({result.restarts} restarts)")
@@ -556,9 +548,6 @@ def main(argv=None) -> int:
         except (FormatError, InvalidInput, FileNotFoundError) as exc:
             human(f"error: {exc}")
             code = EXIT_INVALID
-        except BudgetExhausted as exc:
-            human(f"budget exhausted: {exc}")
-            code = EXIT_BUDGET
     manifest = {
         "command": args.command,
         "argv": argv,

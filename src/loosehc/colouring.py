@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .hypergraph import FormatError, Hypergraph, InvalidInput
+from .hypergraph import FormatError, Hypergraph, InvalidInput, data_lines
 
 
 @dataclass(frozen=True)
@@ -98,14 +98,10 @@ def parse_colouring(text: str, graph: Hypergraph) -> Colouring:
     Blank lines and '#' comments are ignored; a count mismatch is an error.
     """
     colours: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            c = int(line)
-        except ValueError:
-            raise FormatError(lineno, f"non-integer colour {line!r}")
+    for lineno, numbers in data_lines(text):
+        if len(numbers) != 1:
+            raise FormatError(lineno, f"expected one colour, got {len(numbers)}")
+        c = numbers[0]
         if c < 0:
             raise FormatError(lineno, f"colour must be non-negative, got {c}")
         colours.append(c)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .hypergraph import Hypergraph, InvalidInput
+from .hypergraph import Hypergraph, InvalidInput, data_lines
 
 
 @dataclass(frozen=True)
@@ -280,11 +280,9 @@ def validate_tight_cycle(g: Hypergraph, ordering: Sequence[int]) -> TightCycle |
 
 
 def parse_vertex_line(text: str) -> tuple[int, ...]:
-    """One whitespace-separated vertex sequence (cycles and paths on a line)."""
-    try:
-        return tuple(int(tok) for tok in text.split())
-    except ValueError:
-        raise InvalidInput(f"non-integer vertex in {text!r}")
+    """One vertex sequence (a cycle or a path): the integers of every data
+    line, in order."""
+    return tuple(v for _, numbers in data_lines(text) for v in numbers)
 
 
 def format_vertex_line(vertices: Iterable[int]) -> str:

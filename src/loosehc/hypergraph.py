@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class InvalidInput(ValueError):
@@ -313,6 +313,22 @@ class FormatError(InvalidInput):
         self.line = line
 
 
+def data_lines(text: str) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The 1-based line number and the integers of each data line.
+
+    Blank lines and lines starting with '#' are not data; a token that is
+    not an integer raises FormatError with its line number.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            yield lineno, tuple(int(tok) for tok in line.split())
+        except ValueError:
+            raise FormatError(lineno, f"non-integer token in {line!r}")
+
+
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse the .hg format: header "k n", then one sorted edge per line.
 
@@ -322,14 +338,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
     header: tuple[int, int] | None = None
     edges: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            numbers = tuple(int(tok) for tok in line.split())
-        except ValueError:
-            raise FormatError(lineno, f"non-integer token in {line!r}")
+    for lineno, numbers in data_lines(text):
         if header is None:
             if len(numbers) != 2:
                 raise FormatError(lineno, 'header must be "k n"')

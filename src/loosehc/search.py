@@ -90,18 +90,6 @@ class SearchResult:
         return self.success
 
 
-def _conflicts_avoiding(cycle: LooseCycle, chi: Colouring, banned: frozenset[int]) -> int:
-    """Count equal-coloured pairs among edges disjoint from a vertex set."""
-    seen: dict[int, int] = {}
-    pairs = 0
-    for e in cycle.edge_sequence:
-        if banned.isdisjoint(e):
-            colour = chi.by_edge[e]
-            pairs += seen.get(colour, 0)
-            seen[colour] = seen.get(colour, 0) + 1
-    return pairs
-
-
 def find_rainbow_hamilton_cycle(
     g: Hypergraph,
     chi: Colouring,
@@ -141,8 +129,8 @@ def find_rainbow_hamilton_cycle(
         blocked = "host-too-small"
     else:
         blocked = None
+    conflicts = find_conflicts(cycle, chi, params.path_len)
     for step in range(max_steps):
-        conflicts = find_conflicts(cycle, chi, params.path_len)
         if not conflicts:
             checked = validate_loose_cycle(g, cycle.vertices)
             assert isinstance(checked, LooseCycle)
@@ -166,6 +154,7 @@ def find_rainbow_hamilton_cycle(
             )
             log.note(step=step, action="restart", conflicts=len(conflicts),
                      reason=blocked or "budget-exhausted")
+            conflicts = find_conflicts(cycle, chi, params.path_len)
             continue
 
         # The builder ran is_switching and is_feasible on this very switching.
@@ -174,13 +163,16 @@ def find_rainbow_hamilton_cycle(
         assert report.ok, f"pipeline produced a non-switching: {report}"
         feasible = built.feasibility
         assert feasible.ok, f"pipeline produced an infeasible switching: {feasible}"
-        before = _conflicts_avoiding(cycle, chi, anchor.vertex_set)
-        after = _conflicts_avoiding(switching.new_cycle, chi, anchor.vertex_set)
-        assert after <= before, "feasible switchings never add conflicts off the anchor"
         log.note(
             step=step, action="switch",
             conflicts=len(conflicts),
             colour=target.colour, kind=target.kind,
         )
         cycle = switching.new_cycle
+        new_conflicts = find_conflicts(cycle, chi, params.path_len)
+        avoids = anchor.vertex_set.isdisjoint
+        before = sum(avoids(x.first + x.second) for x in conflicts)
+        after = sum(avoids(x.first + x.second) for x in new_conflicts)
+        assert after <= before, "feasible switchings never add conflicts off the anchor"
+        conflicts = new_conflicts
     return SearchResult(False, cycle, max_steps, restarts, log)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from loosehc.colouring import Colouring, format_colouring
 from loosehc.constructions import tight_counterexample
 from loosehc.cycles import LooseCycle, format_vertex_line
 from loosehc.hypergraph import Hypergraph, format_hypergraph
+from loosehc.search import find_conflicts
 
 
 @pytest.fixture
@@ -408,3 +413,74 @@ def test_switch_from_files_with_an_untileable_part(files, capsys):
     assert switch_from_files(
         capsys, files, files / "h.hg", files / "h.col", "1 4 10\n2 5 8\n0 6 9\n"
     ) == (1, [{"type": "switching", "status": "infeasible", "stage": "part-0:ham-path"}], 1)
+
+
+@pytest.mark.parametrize("n", [12, 10], ids=["after-a-switch", "after-a-restart"])
+def test_failed_search_reports_the_conflicts_of_the_cycle_it_prints(tmp_path, capsys, n):
+    # Classes of 44 edges in edge order leave fewer colours than a cycle has
+    # edges, so the search cannot succeed; K12 switches, K10 is too small to
+    # switch and restarts.
+    g = Hypergraph.complete(n, 3)
+    chi = Colouring(g, tuple(i // 44 for i in range(len(g.edges))))
+    (tmp_path / "g.hg").write_text(format_hypergraph(g))
+    (tmp_path / "g.col").write_text(format_colouring(chi))
+    code, records, _ = run(
+        capsys, "search", "--hg", tmp_path / "g.hg", "--col", tmp_path / "g.col",
+        "--t", 1, "--mtilde", 1, "--seed", 0, "--max-steps", 1,
+    )
+    assert code == 3 and records[0]["status"] == "budget-exhausted"
+    cycle = LooseCycle(tuple(records[0]["cycle"]), 3)
+    assert records[0]["remaining_conflicts"] == len(find_conflicts(cycle, chi, 1))
+
+
+def test_commented_cycle_and_anchor_files_load(files, capsys):
+    (files / "commented.txt").write_text("# a cycle\n\n" + format_vertex_line(range(12)) + "\n")
+    (files / "anchor.txt").write_text("# the anchor\n0 1 2\n\n")
+    code, records, _ = run(
+        capsys, "verify", "--hg", files / "g.hg", "--col", files / "g.col",
+        "--cycle", files / "commented.txt",
+    )
+    assert (code, records) == (0, [{"type": "verify", "status": "rainbow"}])
+
+    def sample(cycle, p0):
+        return run(capsys, "sample", "--hg", files / "g.hg", "--col", files / "g.col",
+                   "--cycle", cycle, "--p0", p0, "--seed", 3, "--trials", 3,
+                   "--t", 1, "--mtilde", 1)[:2]
+
+    plain = sample(files / "cycle.txt", "0 1 2")
+    assert plain[0] == 0 and len(plain[1]) == 3
+    assert sample(files / "commented.txt", f"@{files / 'anchor.txt'}") == plain
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["verify", "--hg", "g.hg", "--col", "g.col", "--cycle", "bad.txt"],
+     "0 1 2\n# more\n3 x\n", "line 3: non-integer token in '3 x'"),
+    (["sample", "--hg", "g.hg", "--col", "g.col", "--cycle", "cycle.txt", "--p0", "@bad.txt",
+      "--seed", 1, "--t", 1, "--mtilde", 1],
+     "0 1\n2 y\n", "line 2: non-integer token in '2 y'"),
+    (["verify", "--hg", "g.hg", "--col", "bad.txt", "--cycle", "cycle.txt"],
+     "0\n1 2\n", "line 2: expected one colour, got 2"),
+    (["tile", "--hg", "g.hg", "--pairs", "bad.txt", "--t", 1, "--seed", 1],
+     "0 1\n\n2 3 4\n", "line 3: expected two vertices, got 3"),
+], ids=["cycle", "anchor", "colouring", "pairs"])
+def test_bad_input_lines_exit_2_naming_the_line(files, capsys, monkeypatch, argv, text, message):
+    monkeypatch.chdir(files)
+    (files / "bad.txt").write_text(text)
+    code, records, err = run(capsys, *argv)
+    assert (code, records) == (2, [])
+    assert f"error: {message}\n" in err
+
+
+def test_cli_starts_from_a_source_checkout(files):
+    src = Path(loosehc.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "loosehc.cli", "verify", "--hg", "g.hg", "--col", "g.col",
+         "--cycle", "cycle.txt"],
+        cwd=files, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout == '{"status": "rainbow", "type": "verify"}\n'
+    manifest = done.stderr.splitlines()[-1]
+    assert manifest.startswith("manifest: ")
+    assert json.loads(manifest.removeprefix("manifest: "))["exit_code"] == 0

@@ -9,7 +9,7 @@ from loosehc.colouring import (
     parse_colouring,
     shares_colour,
 )
-from loosehc.hypergraph import Hypergraph, InvalidInput
+from loosehc.hypergraph import FormatError, Hypergraph, InvalidInput
 
 
 def chain_graph():
@@ -76,3 +76,14 @@ def test_parse_colouring_length_mismatch():
     g = chain_graph()
     with pytest.raises(InvalidInput):
         parse_colouring("1\n2\n", g)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("0\n# c\nx\n", 3, "non-integer token in 'x'"),
+    ("0\n\n1 2\n", 3, "expected one colour, got 2"),
+    ("0\n-1\n", 2, "colour must be non-negative, got -1"),
+], ids=["token", "count", "negative"])
+def test_parse_colouring_reports_bad_lines(text, line, message):
+    with pytest.raises(FormatError) as err:
+        parse_colouring(text, chain_graph())
+    assert err.value.line == line and str(err.value) == f"line {line}: {message}"

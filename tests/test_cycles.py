@@ -13,7 +13,7 @@ from loosehc.cycles import (
     validate_loose_cycle,
     validate_tight_cycle,
 )
-from loosehc.hypergraph import Hypergraph, InvalidInput
+from loosehc.hypergraph import FormatError, Hypergraph, InvalidInput
 
 
 def h8_graph():
@@ -176,5 +176,9 @@ def test_validate_tight_cycle_examples():
 
 def test_parse_vertex_line():
     assert parse_vertex_line("3 1 4 1") == (3, 1, 4, 1)
+    assert parse_vertex_line("# a cycle\n3 1\n\n4 1\n") == (3, 1, 4, 1)
     with pytest.raises(InvalidInput):
         parse_vertex_line("3 x")
+    with pytest.raises(FormatError) as err:
+        parse_vertex_line("# a cycle\n3 1\n4 x\n")
+    assert err.value.line == 3

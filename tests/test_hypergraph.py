@@ -9,6 +9,7 @@ from loosehc.hypergraph import (
     InvalidInput,
     Parameters,
     PipelineConfig,
+    data_lines,
     degree,
     edges_within,
     format_hypergraph,
@@ -216,6 +217,12 @@ def test_parse_reports_line_numbers():
     with pytest.raises(FormatError) as err:
         parse_hypergraph("3 6\n0 1 9\n")
     assert err.value.line == 2
+
+
+def test_data_lines_numbers_each_data_line():
+    assert list(data_lines("# head\n\n 1 2 \n#\n3\n")) == [(3, (1, 2)), (5, (3,))]
+    with pytest.raises(FormatError, match="^line 2: non-integer token in '1 x'$"):
+        list(data_lines("# head\n1 x\n"))
 
 
 def test_parse_ignores_comments_and_blanks():

@@ -457,6 +457,29 @@ def test_estimate_zero_rate_monochromatic():
     assert flagged, "geometrically valid samples must be rejected by colour mass"
 
 
+def no_partition_budget(*args):
+    raise BudgetExhausted("transverse-partition", "no acceptable partition in 200 attempts")
+
+
+@pytest.mark.parametrize("draw, outcome", [
+    (no_partition_budget, "budget-exhausted"),
+    (lambda *args: None, "no-dicycle"),
+], ids=["budget-exhausted", "no-dicycle"])
+def test_estimate_records_why_an_accepted_sample_has_no_partition(monkeypatch, draw, outcome):
+    # At seed 8 on K30 the only accepted sample among the first 81 is trial 80.
+    monkeypatch.setattr(sampler, "draw_viable_partition", draw)
+    g, cycle = complete_cycle(30)
+    anchor = increasing_path(cycle, cycle.edge_sequence[0], 1)
+    estimate = estimate_suitable_fraction(
+        g, Colouring.injective(g), cycle, anchor, desk_params(), 81, PipelineConfig(seed=8),
+        jobs=1,
+    )
+    assert estimate.successes == 0
+    assert [(r["trial"], r["partition"], r["viable"]) for r in estimate.records
+            if "partition" in r] == [(80, outcome, False)]
+    assert [r["trial"] for r in estimate.records if r["accepted"]] == [80]
+
+
 def test_estimate_requires_trials():
     g, cycle = complete_cycle(30)
     chi = Colouring.injective(g)

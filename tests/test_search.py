@@ -61,6 +61,21 @@ def test_find_conflicts_tags_kinds():
     assert len(found) == 1 and found[0].kind == "disjoint"
 
 
+def test_find_conflicts_starts_the_anchor_where_the_pair_fits():
+    # At t = 2 an anchored path covers two consecutive edges.  Positions 0
+    # and 1 fit forward from the first edge; positions 0 and 3 of a 4-edge
+    # cycle fit only across the wrap, from the second.
+    g = Hypergraph.complete(8, 3)
+    cycle = validate_loose_cycle(g, range(8))
+    idx = {e: i for i, e in enumerate(g.edges)}
+    for second, start in ((1, 0), (3, 3)):
+        assignment = list(range(len(g.edges)))
+        assignment[idx[cycle.edge_sequence[second]]] = assignment[idx[cycle.edge_sequence[0]]]
+        found = find_conflicts(cycle, Colouring(g, tuple(assignment)), 2)
+        assert len(found) == 1 and found[0].cyclic_distance == 1
+        assert found[0].anchor_start == start
+
+
 def test_search_injective_succeeds_immediately():
     g = Hypergraph.complete(12, 3)
     result = find_rainbow_hamilton_cycle(g, Colouring.injective(g),
@@ -254,3 +269,27 @@ def test_search_asserts_the_builders_reports(monkeypatch, report, message):
     g, chi, params = n24_search_inputs()
     with pytest.raises(AssertionError, match=message):
         find_rainbow_hamilton_cycle(g, chi, params, seed=6)
+
+
+def few_colours(g):
+    """Edges in order, cut into classes of 44: K12 gets 5 colours for its
+    6-edge cycles and K10 3 for its 5-edge ones, so no cycle is rainbow."""
+    return Colouring(g, tuple(i // 44 for i in range(len(g.edges))))
+
+
+@pytest.mark.parametrize("n, action", [(12, "switch"), (10, "restart")])
+def test_search_scans_each_cycle_it_holds_once(monkeypatch, n, action):
+    scanned = []
+
+    def counted(cycle, chi, path_len):
+        scanned.append(cycle)
+        return find_conflicts(cycle, chi, path_len)
+
+    monkeypatch.setattr(search, "find_conflicts", counted)
+    g = Hypergraph.complete(n, 3)
+    result = find_rainbow_hamilton_cycle(g, few_colours(g), desk_params(), seed=0, max_steps=3)
+    assert not result.success
+    assert [step["action"] for step in result.log.steps] == [action] * 3
+    # The start cycle and the one after each step, the returned one last.
+    assert len(scanned) == 4 and len({id(c) for c in scanned}) == 4
+    assert scanned[-1] is result.cycle

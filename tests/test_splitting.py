@@ -1,7 +1,8 @@
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 
+from loosehc import splitting
 from loosehc.colouring import Colouring
 from loosehc.cycles import LooseCycle, LoosePath, Violation, increasing_path, validate_loose_cycle
 from loosehc.hypergraph import Hypergraph, InvalidInput
@@ -16,6 +17,7 @@ from loosehc.splitting import (
     partition_is_transverse,
     rerouting_cycle_count,
     same_path,
+    search_quota_rerouting,
     validate_rerouting,
     validate_splitting,
 )
@@ -335,6 +337,65 @@ def test_is_viable_fails_on_degree():
     report = is_viable(s, partition, g2, epsilon=0.2, pairs_per_part=1,
                        threshold=0.0, j=1)
     assert report.conditions["part-degree"] is False
+
+
+def spaced_splitting(n, count):
+    """Paths of one edge at every other edge of the cycle 0..n-1."""
+    cycle = validate_loose_cycle(Hypergraph.complete(n, 3), range(n))
+    paths = tuple(increasing_path(cycle, cycle.edge_sequence[p], 1) for p in range(0, 2 * count, 2))
+    s = validate_splitting(cycle, paths, "balanced", 1)
+    assert isinstance(s, Splitting)
+    return s
+
+
+def test_quota_rerouting_agrees_with_a_brute_force_on_every_partition():
+    # Every transverse partition of the K12 splitting (0 1 2), (4 5 6),
+    # (8 9 10): both routes of the search against all quota pairings of
+    # the endpoints that validate_rerouting accepts.
+    s = spaced_splitting(12, 3)
+    found_any = 0
+    for orders in product(permutations(range(3)), repeat=3):
+        partition = TransversePartition(tuple(
+            frozenset(p.vertices[order[h]] for p, order in zip(s.paths, orders))
+            for h in range(3)
+        ))
+        part_of = partition.part_of
+        valid = {
+            tuple(sorted(tuple(sorted(pair)) for pair in pairing))
+            for pairing in _perfect_matchings(sorted(s.endvertices))
+            if all(part_of[a] == part_of[b] for a, b in pairing)
+            and sorted(part_of[a] for a, _ in pairing) == [0, 1, 2]
+            and isinstance(validate_rerouting(s, pairing), Rerouting)
+        }
+        found = search_quota_rerouting(s, partition, 1)
+        assert (found.pairs in valid) if found is not None else not valid
+        found_any += found is not None
+    assert found_any == 24  # of the 216 ordered partitions
+
+
+def test_quota_rerouting_matches_exhaustively_when_a_part_holds_two_entries(monkeypatch):
+    # Entries 0 and 4 share a part, so the per-part quota of entries fails
+    # and the dicycle route is skipped.
+    monkeypatch.setattr(splitting, "find_hamilton_dicycle", lambda digraph: pytest.fail())
+    s = spaced_splitting(12, 3)
+    partition = TransversePartition(
+        (frozenset({0, 4, 9}), frozenset({1, 6, 10}), frozenset({2, 5, 8}))
+    )
+    assert search_quota_rerouting(s, partition, 1) == Rerouting(((0, 4), (2, 8), (6, 10)))
+
+
+def test_quota_rerouting_is_incomplete_above_size_8():
+    # Nine paths with every entry in one part: the dicycle route is skipped
+    # and the exhaustive matcher runs only up to size 8.
+    s = spaced_splitting(36, 9)
+    partition = TransversePartition(tuple(
+        frozenset(p.vertices[i] for p in s.paths) for i in range(3)
+    ))
+    assert search_quota_rerouting(s, partition, 3) == "incomplete"
+    report = is_viable(s, partition, Hypergraph.complete(36, 3),
+                       epsilon=0.2, pairs_per_part=3, threshold=0.0, j=1)
+    assert report.conditions == {"pair-quota": False, "part-degree": True}
+    assert report.witnesses == {"pair-quota": "search incomplete for size > 8"}
 
 
 def test_same_path_ignores_direction():

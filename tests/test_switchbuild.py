@@ -4,13 +4,14 @@ import pytest
 
 from loosehc import colouring, sampler, splitting, switchbuild
 from loosehc.colouring import Colouring
-from loosehc.cycles import increasing_path, validate_loose_cycle
+from loosehc.cycles import LoosePath, increasing_path, validate_loose_cycle
 from loosehc.hypergraph import Hypergraph, InvalidInput, Parameters
 from loosehc.rng import child_seed
 from loosehc.sampler import BudgetExhausted, sample_splitting
 from loosehc.splitting import (
     CheckReport,
     Splitting,
+    Switching,
     TransversePartition,
     is_feasible,
     is_switching,
@@ -199,37 +200,89 @@ def test_anchor_coloured_like_host_still_feasible():
 
 
 def test_is_feasible_failure_witnesses():
-    # Recolour fresh edges of a built switching to create both failure
-    # modes: an internal repeat and a collision with an untouched edge.
+    # A built switching at t = 1, m~ = 1 has no fresh edge: each new path is
+    # one edge through an anchor vertex.  The K12 splitting read as a
+    # switching of its own host around (0, 1, 2) has the fresh edges
+    # (4, 5, 6) and (8, 9, 10) and the untouched (2, 3, 4), (6, 7, 8) and
+    # (0, 10, 11).  Each colouring below gives (4, 5, 6) a twin's colour.
+    g, cycle, s = splitting_n12()
+    sw = Switching(s.paths[0], cycle, s, cycle, s)
+    assert is_feasible(sw, Colouring.injective(g)).ok
+    idx = {e: i for i, e in enumerate(g.edges)}
+    for twin, condition, witness in (
+        ((8, 9, 10), "internal-rainbow", [((4, 5, 6), (8, 9, 10)), ((8, 9, 10), (4, 5, 6))]),
+        ((2, 3, 4), "no-outside-collision", [((4, 5, 6), (2, 3, 4))]),
+    ):
+        assignment = list(range(len(g.edges)))
+        assignment[idx[(4, 5, 6)]] = idx[twin]
+        verdict = is_feasible(sw, Colouring(g, tuple(assignment)))
+        assert not verdict.ok
+        assert [name for name, ok in verdict.conditions.items() if not ok] == [condition]
+        assert verdict.witnesses == {condition: witness}
+
+
+def built_n12():
     g, cycle, s = splitting_n12()
     partition, rerouting = viable_n12(s)
     result = build_feasible_switching(
-        cycle, s.paths[0], s, partition, rerouting, g, chi := Colouring.injective(g),
+        cycle, s.paths[0], s, partition, rerouting, g, Colouring.injective(g),
         desk_params(), PipelineConfig(seed=1),
     )
-    sw = result.switching
-    fresh = [
-        e for e in sw.new_cycle.edge_sequence
-        if set(e) <= (sw.new_splitting.vertex_set - sw.anchor.vertex_set)
-    ]
-    untouched = sw.host.edges_avoiding(sw.splitting.interiors)
-    idx = {e: i for i, e in enumerate(g.edges)}
-    if len(fresh) >= 2:
-        assignment = list(range(len(g.edges)))
-        assignment[idx[fresh[0]]] = assignment[idx[fresh[1]]]
-        bad = Colouring(g, tuple(assignment))
-        verdict = is_feasible(sw, bad)
-        assert not verdict.ok
-        assert verdict.conditions["internal-rainbow"] is False
-        assert verdict.witnesses["internal-rainbow"]
-    if fresh:
-        assignment = list(range(len(g.edges)))
-        assignment[idx[fresh[0]]] = assignment[idx[untouched[0]]]
-        bad = Colouring(g, tuple(assignment))
-        verdict = is_feasible(sw, bad)
-        assert not verdict.ok
-        assert verdict.conditions["no-outside-collision"] is False
-        assert verdict.witnesses["no-outside-collision"]
+    return g, result.switching
+
+
+def thinned(g, edge):
+    return Hypergraph(g.n, g.k, tuple(e for e in g.edges if e != edge))
+
+
+# One break of a built K12 switching per case, and the "shape" witness
+# is_switching must report for it.
+SHAPE_BREAKS = {
+    "anchor-missing": lambda g, sw: (
+        {"anchor": LoosePath((2, 3, 4), 3)}, "anchor is not a path of the splitting"),
+    "sizes-differ": lambda g, sw: (
+        {"new_splitting": Splitting(sw.new_cycle, sw.new_splitting.paths[:2])},
+        "sizes differ: 3 vs 2"),
+    "old-splitting-invalid": lambda g, sw: (
+        {"splitting": Splitting(sw.host, sw.splitting.paths[:2] + (LoosePath((8, 9, 11), 3),))},
+        "old splitting: non-subpath at position 2: path 2 uses (8, 9, 11), "
+        "not an edge of the host"),
+    "new-path-too-long": lambda g, sw: (
+        {"new_splitting": Splitting(sw.new_cycle, (
+            increasing_path(sw.new_cycle, sw.new_cycle.edge_sequence[0], 3),
+            *sw.new_splitting.paths[1:]))},
+        "new splitting: length at position 0: path 0 has length 3 > bound 2"),
+    "edge-not-in-host": lambda g, sw: (
+        {"graph": thinned(g, sw.new_cycle.edge_sequence[0])},
+        f"new cycle is not a Hamilton cycle of the graph: [{sw.new_cycle.edge_sequence[0]}]"),
+}
+
+
+@pytest.mark.parametrize("case", SHAPE_BREAKS)
+def test_is_switching_names_each_broken_shape(case):
+    g, sw = built_n12()
+    inputs = dict(anchor=sw.anchor, host=sw.host, splitting=sw.splitting,
+                  new_cycle=sw.new_cycle, new_splitting=sw.new_splitting, graph=g)
+    assert is_switching(**inputs).ok
+    broken, witness = SHAPE_BREAKS[case](g, sw)
+    report = is_switching(**{**inputs, **broken})
+    assert not report.ok and report.conditions == {"shape": False}
+    assert report.witnesses == {"shape": witness}
+
+
+def test_is_switching_names_an_anchor_vertex_outside_the_new_splitting():
+    # Cutting the unchanged host at the other edges leaves the anchor's
+    # interior 1 out of the new splitting, and changes the outside with it.
+    g, sw = built_n12()
+    others = tuple(increasing_path(sw.host, sw.host.edge_sequence[p], 1) for p in (1, 3, 5))
+    shifted = validate_splitting(sw.host, others, "balanced", 1)
+    report = is_switching(sw.anchor, sw.host, sw.splitting, sw.host, shifted, graph=g)
+    assert report.conditions == {
+        "shape": True, "outside-unchanged": False, "anchor-transverse": False,
+    }
+    assert report.witnesses["anchor-transverse"] == (
+        "anchor vertices not covered by the new splitting"
+    )
 
 
 def test_check_report_serialization():

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from loosehc import tiling
 from loosehc.constructions import first_prefix_colouring
+from loosehc.cycles import LoosePath
 from loosehc.graphs import PairGraph
 from loosehc.hypergraph import Hypergraph, InvalidInput, Parameters, PipelineConfig
 from loosehc.tiling import (
+    PathTiling,
     TilingInfeasible,
     TilingRequest,
     build_path_tiling,
@@ -245,6 +247,41 @@ def test_validate_path_tiling_catches_bad_endpoints():
     report = validate_path_tiling(wrong, tiling)
     assert not report.ok
     assert report.conditions["endpoints"] is False
+
+
+# Two paths tiling K10 between (0, 1) and (2, 3), each of length 2 = 2t.
+TWO_PATHS = ((0, 4, 5, 6, 1), (2, 7, 8, 9, 3))
+
+
+def validate_two_paths(paths=TWO_PATHS, n=10, pairs=((0, 1), (2, 3)), missing=None,
+                       conflicts=()):
+    graph = Hypergraph(n, 3, tuple(e for e in Hypergraph.complete(n, 3).edges if e != missing))
+    req = TilingRequest(graph, pairs, PairGraph.from_pairs(conflicts), 1)
+    return validate_path_tiling(req, PathTiling(tuple(LoosePath(p, 3) for p in paths)))
+
+
+# One break of that tiling or its request per case, and the conditions that
+# must fail with their witnesses (None where a condition reports none).
+TILING_BREAKS = {
+    "overlap": ({"paths": (TWO_PATHS[0], (2, 7, 8, 4, 3))}, {"disjoint": [4], "cover": [9]}),
+    "uncovered": ({"n": 11}, {"cover": [10]}),
+    "wrong-ends": ({"pairs": ((0, 1), (2, 9))}, {"endpoints": None}),
+    "too-long": ({"paths": ((0, 4, 5, 6, 7, 8, 1), (2, 9, 3))}, {"length": None}),
+    "edge-missing": ({"missing": (0, 4, 5)}, {"edges-present": (0, 4, 5)}),
+    "conflict": ({"conflicts": ((4, 5),)}, {"conflict-free": (0, 4, 5)}),
+}
+
+
+@pytest.mark.parametrize("case", TILING_BREAKS)
+def test_validate_path_tiling_names_each_broken_condition(case):
+    assert validate_two_paths().ok
+    broken, failures = TILING_BREAKS[case]
+    report = validate_two_paths(**broken)
+    assert not report.ok
+    assert {name for name, ok in report.conditions.items() if not ok} == set(failures)
+    assert report.witnesses == {
+        name: witness for name, witness in failures.items() if witness is not None
+    }
 
 
 def test_forced_block_without_a_path_fails_after_one_oracle_call(monkeypatch):
