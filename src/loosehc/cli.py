@@ -60,7 +60,7 @@ from .sampler import (
     estimate_suitable_fraction,
     sample_splitting,
 )
-from .search import find_conflicts, find_rainbow_hamilton_cycle
+from .search import find_rainbow_hamilton_cycle
 from .splitting import (
     Rerouting,
     TransversePartition,
@@ -396,7 +396,7 @@ def cmd_search(args) -> int:
         "status": "found" if result.success else "budget-exhausted",
         "steps": result.steps, "restarts": result.restarts,
         "cycle": list(result.cycle.vertices),
-        "remaining_conflicts": len(find_conflicts(result.cycle, chi, params.path_len)),
+        "remaining_conflicts": result.conflicts,
     })
     human(("rainbow cycle found" if result.success else "no rainbow cycle")
           + f" after {result.steps} steps ({result.restarts} restarts)")

@@ -15,6 +15,8 @@ from functools import cached_property
 from itertools import chain, combinations, repeat
 from math import comb, sqrt
 
+import numpy as np
+
 from .colouring import Colouring
 from .cycles import LooseCycle, LoosePath, increasing_path, subpath_run
 from .graphs import Digraph
@@ -124,11 +126,19 @@ def sample_splitting(
     path_len: int,
     seed: int,
     trial: int = 0,
+    *,
+    exact_size: bool = False,
 ) -> SampledSplitting:
-    """Bernoulli-sample the cycle's edges with probability
-    (path_count-1)*(k-1)/n; a forward path of the given length grows from
-    each sampled edge when the sample's paths are first read.
-    Deterministic given (seed, trial)."""
+    """Sample the cycle's edges a forward path of the given length grows
+    from, when the sample's paths are first read.  Deterministic given
+    (seed, trial).
+
+    By default each edge is sampled independently with probability
+    p = (path_count-1)*(k-1)/n.  With exact_size, exactly path_count - 1
+    positions are drawn uniformly without replacement: the Bernoulli sample
+    conditioned on that size, without the draws a caller would reject on
+    their size.
+    """
     n, k = cycle.n, cycle.k
     p = (path_count - 1) * (k - 1) / n
     if p > 1:
@@ -138,8 +148,11 @@ def sample_splitting(
             f"path length must lie in [1, {cycle.edge_count}], got {path_len}"
         )
     gen = stream(seed, "edge-sample", trial)
-    draws = gen.random(cycle.edge_count)
-    positions = tuple(i for i in range(cycle.edge_count) if draws[i] < p)
+    if exact_size:
+        drawn = gen.choice(cycle.edge_count, path_count - 1, replace=False, shuffle=False)
+        positions = tuple(sorted(drawn.tolist()))
+    else:
+        positions = tuple(np.flatnonzero(gen.random(cycle.edge_count) < p).tolist())
     return SampledSplitting(cycle, anchor, positions, path_len, p)
 
 

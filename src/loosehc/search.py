@@ -4,10 +4,14 @@ Start from a random Hamilton cycle; while some colour repeats on the
 cycle, wrap one offending edge in an anchored path, sample a splitting
 around it, and apply a feasible switching, which scatters the anchor's
 vertices across distinct new paths and never creates repeats away from
-them.  When the host is too small for the switching geometry (or budgets
-run out), the step falls back to redrawing a fresh random cycle.  The
-search is a heuristic: exhausting the step budget is a report, not an
-error.
+them.  Each splitting draw has exactly the size the switching needs, so no
+step pays for a draw of the wrong size.  The step falls back to redrawing a
+fresh random cycle when the host is too small for the switching geometry,
+when the budgets run out, and when STALL_STEPS switch steps since the last
+(re)start have brought no new low in the conflict count, so a search held
+in a basin leaves it.  The conflict list of the cycle in hand decides
+success, the cycle from the last step included.  The search is a
+heuristic: exhausting the step budget is a report, not an error.
 """
 
 from dataclasses import dataclass, field, replace
@@ -24,6 +28,8 @@ from .hypergraph import (
 from .oracles import uniform_random_hamilton_cycle
 from .rng import child_seed
 from .switchbuild import sample_switching
+
+STALL_STEPS = 50  # switch steps without a new conflict low before a redraw
 
 
 @dataclass(frozen=True)
@@ -84,6 +90,7 @@ class SearchResult:
     cycle: LooseCycle
     steps: int
     restarts: int
+    conflicts: int  # conflict count of the returned cycle
     log: SearchLog
 
     def __bool__(self) -> bool:
@@ -100,13 +107,17 @@ def find_rainbow_hamilton_cycle(
     pipeline: PipelineConfig | None = None,
 ) -> SearchResult:
     """Local search: resolve one conflict per step by a feasible switching,
-    falling back to a fresh random Hamilton cycle when no switching can be
-    built within budget.  Any returned success is re-validated.
+    redrawing a fresh random Hamilton cycle when no switching can be built
+    within budget or the search has stalled.  Any returned success is
+    re-validated, whether its cycle came from the last step or an earlier
+    one.
 
     Each restart's log entry names its reason: the strict gate that no
     sample can meet (found once, before the first step), "host-too-small"
-    for a host below the switching geometry, or "budget-exhausted" when
-    sample_switching found nothing.
+    for a host below the switching geometry, "budget-exhausted" when
+    sample_switching found nothing, or "stalled" after STALL_STEPS switch
+    steps without a new low in the conflict count since the last (re)start.
+    Each switch entry records the conflict count before and after the step.
     """
     if g.n % (g.k - 1) != 0:
         raise InvalidInput(f"(k-1) = {g.k - 1} must divide n = {g.n}")
@@ -130,49 +141,55 @@ def find_rainbow_hamilton_cycle(
     else:
         blocked = None
     conflicts = find_conflicts(cycle, chi, params.path_len)
-    for step in range(max_steps):
-        if not conflicts:
-            checked = validate_loose_cycle(g, cycle.vertices)
-            assert isinstance(checked, LooseCycle)
-            assert is_rainbow(chi, cycle.edge_sequence)
-            log.note(step=step, action="done", conflicts=0)
-            return SearchResult(True, cycle, step, restarts, log)
-
-        target = conflicts[0]
-        anchor = increasing_path(
-            cycle, cycle.edge_sequence[target.anchor_start], params.path_len
-        )
-        cfg = replace(base_pipeline, seed=child_seed(seed, "search-step", step))
+    low, stalled = len(conflicts), 0
+    step = 0
+    while conflicts and step < max_steps:
+        reason = blocked or ("stalled" if stalled >= STALL_STEPS else None)
         built = None
-        if blocked is None:
+        if reason is None:
+            target = conflicts[0]
+            anchor = increasing_path(
+                cycle, cycle.edge_sequence[target.anchor_start], params.path_len
+            )
+            cfg = replace(base_pipeline, seed=child_seed(seed, "search-step", step))
             built = sample_switching(g, chi, cycle, anchor, params, cfg)
         if built is None:
-            # No switching available: redraw and keep searching.
+            # No switching available, or none has helped lately: redraw.
             restarts += 1
             cycle = uniform_random_hamilton_cycle(
                 g, child_seed(seed, "search-restart", restarts)
             )
             log.note(step=step, action="restart", conflicts=len(conflicts),
-                     reason=blocked or "budget-exhausted")
+                     reason=reason or "budget-exhausted")
             conflicts = find_conflicts(cycle, chi, params.path_len)
-            continue
-
-        # The builder ran is_switching and is_feasible on this very switching.
-        switching = built.switching
-        report = built.switching_report
-        assert report.ok, f"pipeline produced a non-switching: {report}"
-        feasible = built.feasibility
-        assert feasible.ok, f"pipeline produced an infeasible switching: {feasible}"
-        log.note(
-            step=step, action="switch",
-            conflicts=len(conflicts),
-            colour=target.colour, kind=target.kind,
-        )
-        cycle = switching.new_cycle
-        new_conflicts = find_conflicts(cycle, chi, params.path_len)
-        avoids = anchor.vertex_set.isdisjoint
-        before = sum(avoids(x.first + x.second) for x in conflicts)
-        after = sum(avoids(x.first + x.second) for x in new_conflicts)
-        assert after <= before, "feasible switchings never add conflicts off the anchor"
-        conflicts = new_conflicts
-    return SearchResult(False, cycle, max_steps, restarts, log)
+            low, stalled = len(conflicts), 0
+        else:
+            # The builder ran is_switching and is_feasible on this very switching.
+            report = built.switching_report
+            assert report.ok, f"pipeline produced a non-switching: {report}"
+            feasible = built.feasibility
+            assert feasible.ok, f"pipeline produced an infeasible switching: {feasible}"
+            cycle = built.switching.new_cycle
+            new_conflicts = find_conflicts(cycle, chi, params.path_len)
+            avoids = anchor.vertex_set.isdisjoint
+            before = sum(avoids(x.first + x.second) for x in conflicts)
+            after = sum(avoids(x.first + x.second) for x in new_conflicts)
+            assert after <= before, "feasible switchings never add conflicts off the anchor"
+            log.note(
+                step=step, action="switch",
+                conflicts=len(conflicts), after=len(new_conflicts),
+                colour=target.colour, kind=target.kind,
+            )
+            conflicts = new_conflicts
+            if len(conflicts) < low:
+                low, stalled = len(conflicts), 0
+            else:
+                stalled += 1
+        step += 1
+    if conflicts:
+        return SearchResult(False, cycle, step, restarts, len(conflicts), log)
+    checked = validate_loose_cycle(g, cycle.vertices)
+    assert isinstance(checked, LooseCycle)
+    assert is_rainbow(chi, cycle.edge_sequence)
+    log.note(step=step, action="done", conflicts=0)
+    return SearchResult(True, cycle, step, restarts, 0, log)

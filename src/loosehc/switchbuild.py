@@ -265,6 +265,10 @@ def sample_switching(
     """End-to-end: sample splittings around the anchor, build a viable
     partition with its rerouting, and retile the parts into a switching.
 
+    Each trial draws exactly split_size - 1 edge positions, so no draw is
+    spent on a sample of the wrong size; the right-sized samples keep the
+    distribution the Bernoulli model gives them.
+
     Returns None when the budgets run out; the caller decides what that
     means (the whole pipeline is a heuristic at desk scale).  Before the
     first draw it raises UnmeetableGate, an InvalidInput naming the gate,
@@ -279,10 +283,9 @@ def sample_switching(
         raise refusal
     for trial in range(config.sample_budget):
         sample = sample_splitting(
-            host, anchor, params.split_size, params.path_len, config.seed, trial
+            host, anchor, params.split_size, params.path_len, config.seed, trial,
+            exact_size=True,
         )
-        if sample.size != params.split_size:
-            continue
         if config.require_events:
             splitting = accept_suitable(sample, g, chi, params).splitting
         else:

@@ -127,6 +127,33 @@ def test_sample_splitting_mean_edges():
     assert abs(mean - 3.0) <= 3 * sigma
 
 
+def test_bernoulli_positions_match_the_per_edge_scan():
+    # The positions are those of the per-edge scan `draws[i] < p` over the
+    # trial's stream, as plain ints, for every seed and trial.
+    _, cycle = complete_cycle(24)
+    anchor = increasing_path(cycle, (0, 1, 2), 1)
+    p = 2 * 2 / 24
+    for seed in range(40):
+        for trial in range(5):
+            draws = stream(seed, "edge-sample", trial).random(cycle.edge_count)
+            expected = tuple(i for i in range(cycle.edge_count) if draws[i] < p)
+            got = sample_splitting(cycle, anchor, 3, 1, seed=seed, trial=trial)
+            assert got.sampled_positions == expected
+            assert all(type(i) is int for i in got.sampled_positions)
+
+
+def test_exact_size_draws_distinct_sorted_positions():
+    _, cycle = complete_cycle(30)
+    anchor = increasing_path(cycle, (0, 1, 2), 1)
+    for trial in range(200):
+        s = sample_splitting(cycle, anchor, 4, 1, seed=8, trial=trial, exact_size=True)
+        assert s.size == 4 and len(set(s.sampled_positions)) == 3
+        assert list(s.sampled_positions) == sorted(s.sampled_positions)
+        assert all(type(i) is int and 0 <= i < 15 for i in s.sampled_positions)
+    with pytest.raises(InvalidInput):  # 16 positions on a 15-edge cycle
+        sample_splitting(cycle, anchor, 17, 1, seed=0, exact_size=True)
+
+
 def test_check_events_injective_never_fires_colour_pairs():
     g, cycle = complete_cycle(30)
     chi = Colouring.injective(g)

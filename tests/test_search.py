@@ -194,19 +194,19 @@ def class_colouring(g, mu, seed):
     return Colouring(g, tuple(colours.tolist()))
 
 
-# Seeded outputs of whole searches (n = 12 ones that cycle 500 steps or
-# restart included): a speed-up of a search step must leave every draw, and
-# so every output, as it is.
+# Seeded outputs of whole searches (n = 12 ones that restart on a stall
+# included): a speed-up of a search step must leave every draw, and so every
+# output, as it is.
 PINNED_SEARCHES = {
-    (12, 1): ((6, 0, 7, 1, 8, 2, 10, 3, 11, 4, 9, 5), 500, 0),
+    (12, 1): ((0, 5, 11, 1, 9, 4, 8, 2, 10, 3, 7, 6), 52, 1),
     (12, 6): ((0, 5, 1, 6, 3, 9, 11, 10, 7, 2, 8, 4), 1, 0),
-    (12, 9): ((0, 5, 9, 8, 2, 4, 6, 3, 1, 10, 11, 7), 163, 1),
-    (24, 1): ((9, 0, 23, 4, 13, 8, 3, 22, 5, 6, 16, 15, 11, 17, 1, 10, 12, 18, 19, 20,
-               14, 21, 7, 2), 1, 0),
-    (24, 6): ((0, 18, 1, 2, 3, 16, 21, 7, 15, 6, 20, 23, 14, 13, 9, 11, 12, 10, 17, 4,
-               19, 5, 8, 22), 14, 0),
-    (24, 9): ((15, 0, 16, 6, 1, 7, 21, 5, 9, 3, 4, 18, 19, 2, 8, 11, 14, 13, 10, 22,
-               23, 12, 20, 17), 1, 0),
+    (12, 9): ((0, 5, 9, 8, 2, 4, 6, 3, 1, 10, 11, 7), 51, 1),
+    (24, 1): ((1, 0, 13, 22, 23, 4, 5, 6, 16, 15, 11, 17, 3, 10, 12, 18, 19, 20, 14, 8,
+               7, 2, 9, 21), 3, 0),
+    (24, 6): ((0, 7, 3, 4, 21, 5, 20, 22, 1, 23, 17, 6, 8, 18, 12, 10, 15, 11, 9, 16,
+               14, 2, 19, 13), 7, 0),
+    (24, 9): ((15, 0, 16, 2, 14, 13, 10, 22, 23, 11, 1, 7, 9, 3, 4, 18, 19, 5, 8, 6, 21,
+               12, 20, 17), 2, 0),
 }
 
 
@@ -227,8 +227,8 @@ def test_seeded_switching_is_pinned():
                              PipelineConfig(seed=7, sample_budget=400, partition_tries=10))
     assert host.vertices == (0, 9, 17, 4, 19, 6, 3, 20, 1, 13, 15, 22, 18, 7, 2, 12, 5, 11,
                              10, 23, 16, 8, 21, 14)
-    assert built.switching.new_cycle.vertices == (0, 7, 3, 20, 1, 13, 15, 22, 18, 6, 17, 4,
-                                                  19, 9, 2, 12, 5, 11, 10, 23, 16, 8, 21, 14)
+    assert built.switching.new_cycle.vertices == (0, 11, 2, 12, 5, 7, 17, 4, 19, 6, 3, 20,
+                                                  1, 13, 15, 22, 18, 9, 10, 23, 16, 8, 21, 14)
 
 
 def n24_search_inputs():
@@ -251,7 +251,7 @@ def test_search_checks_each_switch_step_once(monkeypatch):
     g, chi, params = n24_search_inputs()
     result = find_rainbow_hamilton_cycle(g, chi, params, seed=6)
     switches = sum(1 for step in result.log.steps if step["action"] == "switch")
-    assert result.success and switches == 14
+    assert result.success and switches == 7
     assert calls == {"is_switching": switches, "is_feasible": switches}
 
 
@@ -293,3 +293,57 @@ def test_search_scans_each_cycle_it_holds_once(monkeypatch, n, action):
     # The start cycle and the one after each step, the returned one last.
     assert len(scanned) == 4 and len({id(c) for c in scanned}) == 4
     assert scanned[-1] is result.cycle
+
+
+def test_a_search_whose_last_step_lands_on_a_rainbow_cycle_succeeds():
+    # The second switch is the last step allowed, and its cycle is rainbow.
+    g = Hypergraph.complete(12, 3)
+    chi = class_colouring(g, 0.1, 25)
+    params = replace(desk_params(), mu=0.1)
+    result = find_rainbow_hamilton_cycle(g, chi, params, seed=25, max_steps=2)
+    assert result.success and result.steps == 2 and result.conflicts == 0
+    assert [step["action"] for step in result.log.steps] == ["switch", "switch", "done"]
+    assert result.log.steps[-2]["after"] == 0
+    assert is_rainbow(chi, result.cycle.edge_sequence)
+    shorter = find_rainbow_hamilton_cycle(g, chi, params, seed=25, max_steps=1)
+    assert not shorter.success
+    assert shorter.conflicts == len(find_conflicts(shorter.cycle, chi, 1)) > 0
+
+
+def runs_without_a_low(steps):
+    """For each stretch between (re)starts, the switch steps since the last
+    new low in the conflict count, as each switch entry leaves it."""
+    runs, low, run = [], None, 0
+    for entry in steps:
+        if entry["action"] == "restart":
+            low, run = None, 0
+        elif entry["action"] == "switch":
+            low = entry["conflicts"] if low is None else low
+            low, run = (entry["after"], 0) if entry["after"] < low else (low, run + 1)
+        runs.append(run)
+    return runs
+
+
+@pytest.mark.parametrize("chi_for, seed, max_steps", [
+    (few_colours, 0, 300),
+    (lambda g: class_colouring(g, 0.1, 1), 1, 500),
+], ids=["no-rainbow-cycle", "formerly-500-steps"])
+def test_no_run_of_switch_steps_outlasts_the_stall_limit(chi_for, seed, max_steps):
+    # few_colours leaves K12 no rainbow cycle, so that search stalls again
+    # and again.  The other search sits at one conflict until a stall
+    # redraws its cycle, and then succeeds.
+    g = Hypergraph.complete(12, 3)
+    chi = chi_for(g)
+    result = find_rainbow_hamilton_cycle(
+        g, chi, replace(desk_params(), mu=0.1), seed=seed, max_steps=max_steps
+    )
+    steps = result.log.steps
+    runs = runs_without_a_low(steps)
+    assert max(runs) == search.STALL_STEPS
+    for i, entry in enumerate(steps):
+        if entry.get("reason") == "stalled":
+            assert runs[i - 1] == search.STALL_STEPS
+    stalls = sum(1 for entry in steps if entry.get("reason") == "stalled")
+    assert stalls == result.restarts >= 1
+    assert result.success == (chi_for is not few_colours)
+    assert result.conflicts == len(find_conflicts(result.cycle, chi, 1))

@@ -1,8 +1,10 @@
 import sys
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
-from loosehc import colouring, sampler, splitting, switchbuild
+from loosehc import colouring, splitting, switchbuild
 from loosehc.colouring import Colouring
 from loosehc.cycles import LoosePath, increasing_path, validate_loose_cycle
 from loosehc.hypergraph import Hypergraph, InvalidInput, Parameters
@@ -351,26 +353,57 @@ def test_sample_switching_impossible_geometry_returns_none():
     assert result is None
 
 
-def test_size_rejected_trials_grow_no_path(monkeypatch):
-    # Every trial before the first one with split_size - 1 sampled edges is
-    # rejected on its size, before a single path is grown from its sample.
-    g = Hypergraph.complete(24, 3)
-    cycle = validate_loose_cycle(g, range(24))
+def test_every_trial_draws_a_sample_of_the_right_size(monkeypatch):
+    # No trial is spent on a sample rejected on its size.  On K12 one draw of
+    # two positions in 15 gives the anchor's only balanced splitting, and the
+    # first six trials at seed 3 miss it.
+    g, chi, cycle, anchor = k12_anchor()
     params = desk_params()
-    anchor = increasing_path(cycle, cycle.edge_sequence[0], 1)
-    sizes = []
-    while not sizes or sizes[-1] != params.split_size - 1:
-        sample = sample_splitting(cycle, anchor, params.split_size, 1, seed=5, trial=len(sizes))
-        sizes.append(len(sample.sampled_positions))
-    assert sum(sizes[:-1]) > 0
-    grown = []
-    real_path = sampler.increasing_path
-    monkeypatch.setattr(sampler, "increasing_path",
-                        lambda *args: grown.append(args) or real_path(*args))
-    result = sample_switching(g, Colouring.injective(g), cycle, anchor, params,
-                              PipelineConfig(seed=5, sample_budget=len(sizes) - 1))
+    drawn = []
+
+    def traced(*args, **kwargs):
+        drawn.append(sample_splitting(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(switchbuild, "sample_splitting", traced)
+    result = sample_switching(g, chi, cycle, anchor, params,
+                              PipelineConfig(seed=3, sample_budget=6))
     assert result is None
-    assert grown == []
+    assert [s.size for s in drawn] == [params.split_size] * 6
+
+
+def test_exact_size_draws_follow_the_conditioned_bernoulli_model(monkeypatch):
+    # sample_switching's draws of two positions on K12's six cycle edges
+    # against Bernoulli samples of the same size: a chi-square test of
+    # homogeneity over the 15 position pairs.  No partition is ever drawn, so
+    # every trial of the budget draws one sample.
+    from scipy.stats import chi2_contingency
+
+    g, chi, cycle, anchor = k12_anchor()
+    params = desk_params()
+    drawn = []
+
+    def traced(*args, **kwargs):
+        sample = sample_splitting(*args, **kwargs)
+        drawn.append(sample.sampled_positions)
+        return sample
+
+    monkeypatch.setattr(switchbuild, "sample_splitting", traced)
+    monkeypatch.setattr(switchbuild, "draw_viable_partition", lambda *args: None)
+    config = PipelineConfig(seed=17, sample_budget=1500, partition_tries=1)
+    assert sample_switching(g, chi, cycle, anchor, params, config) is None
+    conditioned = []
+    trial = 0
+    while len(conditioned) < 1500:
+        sample = sample_splitting(cycle, anchor, params.split_size, 1, seed=18, trial=trial)
+        if sample.size == params.split_size:
+            conditioned.append(sample.sampled_positions)
+        trial += 1
+    pairs = list(combinations(range(cycle.edge_count), 2))
+    assert set(drawn) <= set(pairs) and set(conditioned) <= set(pairs)
+    table = [[Counter(drawn)[q] for q in pairs], [Counter(conditioned)[q] for q in pairs]]
+    assert len(drawn) == 1500 and min(min(row) for row in table) > 50
+    assert chi2_contingency(table).pvalue > 0.001
 
 
 def k12_anchor():
@@ -410,14 +443,14 @@ def traced_pipeline(monkeypatch, config, draw=passthrough, build=passthrough):
 
 
 def test_an_exhausted_partition_budget_moves_on_to_the_next_sample(monkeypatch):
-    # Trial 0 is the first whose sample has the right size; the next is 116.
+    # Trial 6 is the first whose sample is a balanced splitting; the next is 19.
     def exhausted_once(call, real, *args):
         if call == 1:
             raise BudgetExhausted("transverse-partition", "no acceptable partition")
         return real(*args)
 
     result, draws = traced_pipeline(monkeypatch, PipelineConfig(seed=3), draw=exhausted_once)
-    assert result is not None and draws == [(0, 0), (116, 0)]
+    assert result is not None and draws == [(6, 0), (19, 0)]
 
 
 def test_no_dicycle_moves_on_to_the_next_attempt(monkeypatch):
@@ -425,7 +458,7 @@ def test_no_dicycle_moves_on_to_the_next_attempt(monkeypatch):
         monkeypatch, PipelineConfig(seed=3),
         draw=lambda call, real, *args: None if call == 1 else real(*args),
     )
-    assert result is not None and draws == [(0, 0), (0, 1)]
+    assert result is not None and draws == [(6, 0), (6, 1)]
 
 
 def test_an_untileable_build_moves_on_to_the_next_attempt(monkeypatch):
@@ -435,16 +468,16 @@ def test_an_untileable_build_moves_on_to_the_next_attempt(monkeypatch):
         return real(*args)
 
     result, draws = traced_pipeline(monkeypatch, PipelineConfig(seed=3), build=infeasible_once)
-    assert result is not None and draws == [(0, 0), (0, 1)]
+    assert result is not None and draws == [(6, 0), (6, 1)]
 
 
 def test_sample_switching_returns_none_when_every_budget_runs_out(monkeypatch):
     result, draws = traced_pipeline(
-        monkeypatch, PipelineConfig(seed=3, sample_budget=120, partition_tries=3),
+        monkeypatch, PipelineConfig(seed=3, sample_budget=20, partition_tries=3),
         draw=lambda call, real, *args: None,
     )
     assert result is None
-    assert draws == [(0, 0), (0, 1), (0, 2), (116, 0), (116, 1), (116, 2)]
+    assert draws == [(6, 0), (6, 1), (6, 2), (19, 0), (19, 1), (19, 2)]
 
 
 def test_a_part_failure_is_reraised_naming_the_part(monkeypatch):
