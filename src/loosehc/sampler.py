@@ -119,6 +119,22 @@ class SampledSplitting:
         return self.sampled_vertices | self.anchor.vertex_set
 
 
+def host_too_small(edge_count: int, path_count: int, path_len: int) -> InvalidInput | None:
+    """The refusal of a host cycle with too few edges for any disjoint
+    splitting of path_count paths of path_len edges, or None.
+
+    Two paths are vertex-disjoint only when at least one edge of the cycle
+    separates them, so the paths need path_count*(path_len + 1) edges.
+    """
+    need = path_count * (path_len + 1)
+    if edge_count >= need:
+        return None
+    return InvalidInput(
+        f"host-too-small: {path_count} disjoint paths of {path_len} edges need "
+        f"{need} cycle edges, the host has {edge_count}"
+    )
+
+
 def sample_splitting(
     cycle: LooseCycle,
     anchor: LoosePath,
@@ -134,25 +150,38 @@ def sample_splitting(
     (seed, trial).
 
     By default each edge is sampled independently with probability
-    p = (path_count-1)*(k-1)/n.  With exact_size, exactly path_count - 1
-    positions are drawn uniformly without replacement: the Bernoulli sample
-    conditioned on that size, without the draws a caller would reject on
-    their size.
+    p = (path_count-1)*(k-1)/n.  With exact_size the draw is that sample
+    conditioned on its size, path_count - 1, and on validate_splitting
+    accepting it, so the paths avoid the anchor and each other.  The
+    c - path_count*path_len edges off the paths then form path_count gaps
+    of at least one edge, one after each path, the anchor's first.  The
+    gaps are a uniform composition, drawn as path_count - 1 cut points among
+    its c - path_count*path_len - 1 interior slots, and path i starts
+    cut_i + i*path_len edges after the anchor's start (position 0 for an
+    anchor off the cycle, which validate_splitting then rejects).  A host
+    too small for any such splitting raises host-too-small.
     """
     n, k = cycle.n, cycle.k
     p = (path_count - 1) * (k - 1) / n
     if p > 1:
         raise InvalidInput(f"edge probability {p} exceeds 1")
-    if not 1 <= path_len <= cycle.edge_count:
-        raise InvalidInput(
-            f"path length must lie in [1, {cycle.edge_count}], got {path_len}"
-        )
+    c = cycle.edge_count
+    if not 1 <= path_len <= c:
+        raise InvalidInput(f"path length must lie in [1, {c}], got {path_len}")
     gen = stream(seed, "edge-sample", trial)
     if exact_size:
-        drawn = gen.choice(cycle.edge_count, path_count - 1, replace=False, shuffle=False)
-        positions = tuple(sorted(drawn.tolist()))
+        refusal = host_too_small(c, path_count, path_len)
+        if refusal is not None:
+            raise refusal
+        run = subpath_run(cycle, anchor)
+        start = run[0] if run is not None else 0
+        slots = c - path_count * path_len - 1
+        cuts = sorted(gen.choice(slots, path_count - 1, replace=False, shuffle=False) + 1)
+        positions = tuple(sorted(
+            (start + int(cut) + i * path_len) % c for i, cut in enumerate(cuts, start=1)
+        ))
     else:
-        positions = tuple(np.flatnonzero(gen.random(cycle.edge_count) < p).tolist())
+        positions = tuple(np.flatnonzero(gen.random(c) < p).tolist())
     return SampledSplitting(cycle, anchor, positions, path_len, p)
 
 
@@ -337,20 +366,27 @@ class PartitionSample:
 
 
 def _draw_transverse_partition(
-    splitting: Splitting, gen
+    splitting: Splitting, quota: int, gen
 ) -> TransversePartition:
-    """The sequential uniform process: each round takes one unused vertex
-    from every path; the last part collects the leftovers."""
-    remaining = [list(p.vertices) for p in splitting.paths]
-    t_rounds = len(splitting.paths[0].vertices) - 1
-    parts: list[set[int]] = []
-    for _ in range(t_rounds):
-        part: set[int] = set()
-        for bucket in remaining:
-            idx = int(gen.integers(len(bucket)))
-            part.add(bucket.pop(idx))
-        parts.append(part)
-    parts.append({bucket[0] for bucket in remaining})
+    """A uniform transverse partition among those that meet the exit quota.
+
+    The exits take a uniform arrangement of the parts, each repeated quota
+    times; each path's other vertices then take an independent uniform
+    bijection onto the parts its exit did not take.  That is the sequential
+    uniform process (each round takes one unused vertex from every path,
+    the last part collects the leftovers) conditioned on exit-quota.
+    """
+    paths, exits = splitting.paths, splitting.exits
+    part_count = len(paths[0].vertices)
+    exit_parts = gen.permutation(np.repeat(np.arange(part_count), quota)).tolist()
+    others = gen.permuted(
+        [[h for h in range(part_count) if h != e] for e in exit_parts], axis=1
+    ).tolist()
+    parts: list[set[int]] = [set() for _ in range(part_count)]
+    for path, x, e, row in zip(paths, exits, exit_parts, others):
+        parts[e].add(x)
+        for v, h in zip([v for v in path.vertices if v != x], row):
+            parts[h].add(v)
     return TransversePartition(tuple(frozenset(p) for p in parts))
 
 
@@ -406,12 +442,15 @@ def sample_transverse_partition(
     params: Parameters,
     config: PipelineConfig,
 ) -> PartitionSample:
-    """Resample uniform transverse partitions until the conditions hold.
+    """Resample uniform transverse partitions that meet the exit quota
+    until the conditions hold.
 
-    Draws at most config.partition_budget partitions from streams of
-    config.seed, gated in the mode config.is_structural(g) picks for the
-    host g.  A strict gate that no partition can meet raises UnmeetableGate
-    before the first draw.
+    Draws at most config.partition_budget partitions, one stream of
+    config.seed each, and gates every draw in the mode
+    config.is_structural(g) picks for the host g: exit-quota is checked
+    again on each, and strict mode also gates entry-bound and
+    relative-degree.  A strict gate that no partition can meet raises
+    UnmeetableGate before the first draw.
     """
     if splitting.size != params.split_size:
         raise InvalidInput(
@@ -423,7 +462,7 @@ def sample_transverse_partition(
         raise refusal
     for attempt in range(config.partition_budget):
         gen = stream(config.seed, "transverse-partition", attempt)
-        partition = _draw_transverse_partition(splitting, gen)
+        partition = _draw_transverse_partition(splitting, params.pairs_per_part, gen)
         report = partition_conditions(splitting, partition, params, g, structural)
         if report.ok:
             return PartitionSample(partition, report, attempt + 1)

@@ -4,8 +4,10 @@ Start from a random Hamilton cycle; while some colour repeats on the
 cycle, wrap one offending edge in an anchored path, sample a splitting
 around it, and apply a feasible switching, which scatters the anchor's
 vertices across distinct new paths and never creates repeats away from
-them.  Each splitting draw has exactly the size the switching needs, so no
-step pays for a draw of the wrong size.  The step falls back to redrawing a
+them.  Each splitting draw is a disjoint splitting of the size the
+switching needs, and each partition draw already meets the exit quota, so
+no step spends a draw on a splitting of the wrong size or shape, or on a
+partition that misses the quota.  The step falls back to redrawing a
 fresh random cycle when the host is too small for the switching geometry,
 when the budgets run out, and when STALL_STEPS switch steps since the last
 (re)start have brought no new low in the conflict count, so a search held
@@ -27,6 +29,7 @@ from .hypergraph import (
 )
 from .oracles import uniform_random_hamilton_cycle
 from .rng import child_seed
+from .sampler import host_too_small
 from .switchbuild import sample_switching
 
 STALL_STEPS = 50  # switch steps without a new conflict low before a redraw
@@ -136,7 +139,7 @@ def find_rainbow_hamilton_cycle(
     )
     if refusal is not None:
         blocked = refusal.gate
-    elif g.n < params.split_size * (params.path_len + 1) * (g.k - 1):
+    elif host_too_small(cycle.edge_count, params.split_size, params.path_len):
         blocked = "host-too-small"
     else:
         blocked = None

@@ -32,6 +32,7 @@ from .sampler import (
     BudgetExhausted,
     accept_suitable,
     draw_viable_partition,
+    host_too_small,
     sample_splitting,
 )
 from .splitting import (
@@ -265,20 +266,23 @@ def sample_switching(
     """End-to-end: sample splittings around the anchor, build a viable
     partition with its rerouting, and retile the parts into a switching.
 
-    Each trial draws exactly split_size - 1 edge positions, so no draw is
-    spent on a sample of the wrong size; the right-sized samples keep the
-    distribution the Bernoulli model gives them.
+    Each trial draws one splitting from the Bernoulli model conditioned on
+    its size and on validate_splitting accepting it, so no draw is spent on
+    a sample of the wrong size or shape; validate_splitting (or, with
+    config.require_events, accept_suitable) still checks every draw.
 
     Returns None when the budgets run out; the caller decides what that
     means (the whole pipeline is a heuristic at desk scale).  Before the
     first draw it raises UnmeetableGate, an InvalidInput naming the gate,
     when no sample can meet a strict gate of this run: the event gate with
     config.require_events, the partition gate when the host is strict.
+    After that check, a host cycle with too few edges for any disjoint
+    splitting raises an InvalidInput that leads with host-too-small.
     """
     config = config or PipelineConfig()
     refusal = unmeetable_gate(
         params, strict_partition=not config.is_structural(g), events=config.require_events
-    )
+    ) or host_too_small(host.edge_count, params.split_size, params.path_len)
     if refusal is not None:
         raise refusal
     for trial in range(config.sample_budget):

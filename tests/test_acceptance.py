@@ -22,7 +22,7 @@ from loosehc.cycles import (
     validate_tight_cycle,
 )
 from loosehc.graphs import Digraph, PairGraph
-from loosehc.hypergraph import Hypergraph, Parameters, min_j_degree
+from loosehc.hypergraph import Hypergraph, InvalidInput, Parameters, min_j_degree
 from loosehc.oracles import (
     enumerate_loose_hamilton_cycles,
     exists_rainbow_tight_hc,
@@ -74,6 +74,7 @@ def test_criterion_1_definition_conformance():
     produced = 0
     failures = []
     per_n = {10: 0, 12: 0, 14: 0}
+    refused = {10: 0, 12: 0, 14: 0}
     for build in range(200):
         n = (10, 12, 14)[build % 3]
         g = Hypergraph.complete(n, 3)
@@ -82,10 +83,15 @@ def test_criterion_1_definition_conformance():
         anchor = increasing_path(
             cycle, cycle.edge_sequence[build % cycle.edge_count], 1
         )
-        result = sample_switching(
-            g, chi, cycle, anchor, params,
-            PipelineConfig(seed=build, sample_budget=600),
-        )
+        try:
+            result = sample_switching(
+                g, chi, cycle, anchor, params,
+                PipelineConfig(seed=build, sample_budget=600),
+            )
+        except InvalidInput as exc:
+            assert str(exc).startswith("host-too-small: "), exc
+            refused[n] += 1
+            continue
         if result is None:
             continue
         produced += 1
@@ -96,12 +102,14 @@ def test_criterion_1_definition_conformance():
         feas = is_feasible(sw, chi)
         if not check.ok or not feas.ok:
             failures.append((build, n, str(check), str(feas)))
-    ok = not failures and produced > 0 and per_n[10] == 0
+    # The splitting geometry needs n >= 12: every n = 10 build is refused.
+    n10_refused = refused == {10: 67, 12: 0, 14: 0}
+    ok = not failures and produced > 0 and per_n[10] == 0 and n10_refused
     report(1, ok, f"{produced} switchings produced over 200 builds "
-                  f"(n=10 correctly yields none: {per_n[10] == 0}); "
+                  f"(n=10 correctly refused: {n10_refused}); "
                   f"predicate failures: {len(failures)}")
     assert produced > 0
-    assert per_n[10] == 0  # the splitting geometry needs n >= 12
+    assert per_n[10] == 0 and n10_refused, refused
     assert failures == [], failures[:2]
 
 

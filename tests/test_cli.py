@@ -177,6 +177,23 @@ def test_switch_sample_mode(files, capsys):
     assert records[0]["feasible"] is True
 
 
+def test_switch_sample_refuses_a_host_too_small(tmp_path, capsys):
+    # K10's cycle has 5 edges; three disjoint one-edge paths need 6.
+    g = Hypergraph.complete(10, 3)
+    (tmp_path / "g.hg").write_text(format_hypergraph(g))
+    (tmp_path / "g.col").write_text(format_colouring(Colouring.injective(g)))
+    (tmp_path / "cycle.txt").write_text(format_vertex_line(range(10)) + "\n")
+    code, records, err = run(
+        capsys, "switch",
+        "--hg", tmp_path / "g.hg", "--col", tmp_path / "g.col",
+        "--cycle", tmp_path / "cycle.txt", "--p0", "0 1 2",
+        "--seed", 3, "--t", 1, "--mtilde", 1, "--sample",
+    )
+    assert code == 2 and records == []
+    assert ("error: host-too-small: 3 disjoint paths of 1 edges need 6 cycle edges, "
+            "the host has 5\n") in err
+
+
 def test_switch_explicit_files(files, capsys):
     (files / "splitting.txt").write_text("0 1 2\n4 5 6\n8 9 10\n")
     (files / "partition.txt").write_text("1 4 10\n2 5 8\n0 6 9\n")

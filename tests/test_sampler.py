@@ -29,6 +29,7 @@ from loosehc.sampler import (
     check_events,
     exact_binomial_hit,
     estimate_suitable_fraction,
+    host_too_small,
     partition_conditions,
     sample_splitting,
     sample_transverse_partition,
@@ -40,6 +41,7 @@ from loosehc.splitting import (
     Splitting,
     TransversePartition,
     is_suitable,
+    partition_is_transverse,
     validate_rerouting,
     validate_splitting,
 )
@@ -152,6 +154,79 @@ def test_exact_size_draws_distinct_sorted_positions():
         assert all(type(i) is int and 0 <= i < 15 for i in s.sampled_positions)
     with pytest.raises(InvalidInput):  # 16 positions on a 15-edge cycle
         sample_splitting(cycle, anchor, 17, 1, seed=0, exact_size=True)
+
+
+def accepted_bernoulli_positions(cycle, anchor, path_count, path_len, seed, count):
+    """The definition the exact-size draw is conditioned from: Bernoulli
+    samples of path_count - 1 positions that validate_splitting accepts."""
+    accepted, trial = [], 0
+    while len(accepted) < count:
+        sample = sample_splitting(cycle, anchor, path_count, path_len, seed=seed, trial=trial)
+        trial += 1
+        if sample.size == path_count and isinstance(
+            validate_splitting(cycle, sample.all_paths, "balanced", path_len), Splitting
+        ):
+            accepted.append(sample.sampled_positions)
+    return accepted
+
+
+@pytest.mark.parametrize("path_len, draws", [(1, 2000), (2, 1000)], ids=["t1", "t2"])
+def test_exact_size_draws_follow_the_accepted_bernoulli_samples(path_len, draws):
+    # Three paths on K24's twelve cycle edges, the anchor at position 5: a
+    # chi-square test of homogeneity over the C(12 - 3t - 1, 2) accepted
+    # position pairs (28 at t = 1, 10 at t = 2).
+    from scipy.stats import chi2_contingency
+
+    _, cycle = complete_cycle(24)
+    anchor = increasing_path(cycle, cycle.edge_sequence[5], path_len)
+    exact = [
+        sample_splitting(cycle, anchor, 3, path_len, seed=17, trial=trial,
+                         exact_size=True).sampled_positions
+        for trial in range(draws)
+    ]
+    reference = accepted_bernoulli_positions(cycle, anchor, 3, path_len, 18, draws)
+    cells = sorted(set(reference))
+    assert len(cells) == comb(12 - 3 * path_len - 1, 2) and set(exact) <= set(cells)
+    table = [[Counter(exact)[q] for q in cells], [Counter(reference)[q] for q in cells]]
+    assert min(min(row) for row in table) > 40
+    assert chi2_contingency(table).pvalue > 0.001
+
+
+@pytest.mark.parametrize("n, path_count, path_len", [(14, 3, 1), (20, 3, 2), (24, 4, 1)])
+def test_exact_size_draws_reach_every_disjoint_splitting_and_nothing_else(
+    n, path_count, path_len
+):
+    # Every placement of the other paths that validate_splitting accepts
+    # around the anchor, found by brute force over all position sets, is
+    # drawn, and no other: C(c - m*t - 1, m - 1) of them.
+    _, cycle = complete_cycle(n)
+    c = cycle.edge_count
+    anchor = increasing_path(cycle, cycle.edge_sequence[2], path_len)
+    valid = {
+        positions for positions in combinations(range(c), path_count - 1)
+        if isinstance(validate_splitting(
+            cycle, SampledSplitting(cycle, anchor, positions, path_len, 0.0).all_paths,
+            "balanced", path_len,
+        ), Splitting)
+    }
+    assert len(valid) == comb(c - path_count * path_len - 1, path_count - 1)
+    drawn = {
+        sample_splitting(cycle, anchor, path_count, path_len, seed=4, trial=trial,
+                         exact_size=True).sampled_positions
+        for trial in range(40 * len(valid))
+    }
+    assert drawn == valid
+
+
+def test_exact_size_draw_refuses_a_host_too_small():
+    # Three disjoint one-edge paths need six cycle edges; K10's cycle has five.
+    _, cycle = complete_cycle(10)
+    anchor = increasing_path(cycle, cycle.edge_sequence[0], 1)
+    message = "host-too-small: 3 disjoint paths of 1 edges need 6 cycle edges, the host has 5"
+    with pytest.raises(InvalidInput) as err:
+        sample_splitting(cycle, anchor, 3, 1, seed=0, exact_size=True)
+    assert str(err.value) == message
+    assert host_too_small(5, 3, 1) is not None and host_too_small(6, 3, 1) is None
 
 
 def test_check_events_injective_never_fires_colour_pairs():
@@ -330,12 +405,34 @@ def splitting_n12(g=None):
     return s
 
 
+def sequential_transverse_partition(splitting, gen):
+    """The definition the partition draw is conditioned from: each round
+    takes one unused vertex from every path, uniformly; the last part
+    collects the leftovers."""
+    remaining = [list(p.vertices) for p in splitting.paths]
+    parts = []
+    for _ in range(len(remaining[0]) - 1):
+        parts.append(frozenset(bucket.pop(int(gen.integers(len(bucket)))) for bucket in remaining))
+    parts.append(frozenset(bucket[0] for bucket in remaining))
+    return TransversePartition(tuple(parts))
+
+
+def meets_exit_quota(splitting, partition, quota):
+    exit_set = set(splitting.exits)
+    return all(len(part & exit_set) == quota for part in partition.parts)
+
+
 def test_draw_transverse_partition_shape():
-    s = splitting_n12()
-    gen = stream(3, "test-draw")
-    partition = _draw_transverse_partition(s, gen)
-    assert len(partition.parts) == 3
-    assert all(len(p) == 3 for p in partition.parts)
+    # Every draw is a transverse partition into t(k-1)+1 parts that meets
+    # the exit quota.
+    for k, t, quota in [(3, 1, 1), (3, 1, 2), (3, 2, 1), (4, 1, 2)]:
+        _, _, _, splitting = complete_on_sample(k, t, quota)
+        for i in range(50):
+            partition = _draw_transverse_partition(splitting, quota, stream(3, "test-draw", i))
+            assert len(partition.parts) == t * (k - 1) + 1
+            assert all(len(p) == splitting.size for p in partition.parts)
+            assert partition_is_transverse(splitting, partition)
+            assert meets_exit_quota(splitting, partition, quota)
 
 
 def test_exit_quota_frequency_matches_product_formula():
@@ -352,17 +449,38 @@ def test_exit_quota_frequency_matches_product_formula():
     assert exact == Fraction(2, 9)
 
     s = splitting_n12()
-    exit_set = set(s.exits)
     trials = 4000
-    hits = 0
-    for i in range(trials):
-        gen = stream(21, "freq", i)
-        partition = _draw_transverse_partition(s, gen)
-        if all(len(p & exit_set) == quota for p in partition.parts):
-            hits += 1
+    hits = sum(
+        meets_exit_quota(s, sequential_transverse_partition(s, stream(21, "freq", i)), quota)
+        for i in range(trials)
+    )
     freq = hits / trials
     sigma = (float(exact) * (1 - float(exact)) / trials) ** 0.5
     assert abs(freq - float(exact)) <= 4 * sigma
+
+
+def test_partition_draws_follow_the_quota_accepted_sequential_process():
+    # On K12's splitting the 3! exit arrangements times 2^3 placements of the
+    # other vertices give 48 labelled partitions that meet the quota: a
+    # chi-square test of homogeneity of the draws against the sequential
+    # process's draws that meet it.
+    from scipy.stats import chi2_contingency
+
+    s = splitting_n12()
+    draws = 2000
+    exact = [_draw_transverse_partition(s, 1, stream(31, "exact", i)).parts
+             for i in range(draws)]
+    reference, i = [], 0
+    while len(reference) < draws:
+        partition = sequential_transverse_partition(s, stream(32, "reference", i))
+        i += 1
+        if meets_exit_quota(s, partition, 1):
+            reference.append(partition.parts)
+    cells = sorted(set(reference), key=lambda parts: [sorted(p) for p in parts])
+    assert len(cells) == 48 and set(exact) <= set(cells)
+    table = [[Counter(exact)[q] for q in cells], [Counter(reference)[q] for q in cells]]
+    assert min(min(row) for row in table) > 15
+    assert chi2_contingency(table).pvalue > 0.001
 
 
 def test_sample_transverse_partition_structural():
@@ -713,7 +831,7 @@ def test_preflight_refuses_exactly_the_gates_no_sample_meets(k, j, t, quota):
     # host allows, so the first drawn partition and the balanced sample fail
     # a degree gate exactly when no draw can meet it.
     g, chi, sample, splitting = complete_on_sample(k, t, quota)
-    partition = _draw_transverse_partition(splitting, stream(0, "transverse-partition", 0))
+    partition = _draw_transverse_partition(splitting, quota, stream(0, "transverse-partition", 0))
     for epsilon, threshold in ((0.05, 0.0), (0.2, 0.0), (0.5, 0.3)):
         params = desk_params(k=k, j=j, path_len=t, pairs_per_part=quota,
                              epsilon=epsilon, threshold=threshold)
@@ -767,26 +885,33 @@ def test_refused_runs_open_no_stream(monkeypatch):
 
 
 def test_sample_transverse_partition_raises_once_its_budget_is_spent(monkeypatch):
-    # At seed 3 the first three draws miss the exit quota and the fourth
-    # meets it, so a budget of three is spent on three gated draws.
+    # Every draw meets the exit quota, so the budget is spent on a strict
+    # gate that can still fail: entry-bound at beta * m = 1.5 wants the three
+    # entries in three parts.  (At j = 2 relative-degree holds on K12.)  At
+    # seed 0 the first three draws miss it and the fourth meets it, so a
+    # budget of three is spent on three gated draws.
     g = Hypergraph.complete(12, 3)
     s = splitting_n12(g)
+    params = desk_params(j=2, beta=0.5)
+    config = PipelineConfig(seed=0, partition_budget=3, structural=False)
     gated = []
     real_conditions = sampler.partition_conditions
 
     def traced_conditions(*args):
         report = real_conditions(*args)
-        gated.append(report.ok)
+        gated.append(report.conditions)
         return report
 
     monkeypatch.setattr(sampler, "partition_conditions", traced_conditions)
     with pytest.raises(BudgetExhausted) as err:
-        sample_transverse_partition(s, g, desk_params(), PipelineConfig(seed=3, partition_budget=3))
+        sample_transverse_partition(s, g, params, config)
     assert err.value.stage == "transverse-partition"
     assert str(err.value) == "transverse-partition: no acceptable partition in 3 attempts"
-    assert gated == [False] * 3
-    result = sample_transverse_partition(s, g, desk_params(), PipelineConfig(seed=3, partition_budget=4))
-    assert result.attempts == 4 and gated[3:] == [False] * 3 + [True]
+    missed = {"exit-quota": True, "entry-bound": False, "relative-degree": True}
+    met = dict.fromkeys(missed, True)
+    assert gated == [missed] * 3
+    result = sample_transverse_partition(s, g, params, replace(config, partition_budget=4))
+    assert result.attempts == 4 and gated[3:] == [missed] * 3 + [met]
 
 
 def test_draw_viable_partition_is_none_without_a_dicycle(monkeypatch):

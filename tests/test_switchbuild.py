@@ -1,13 +1,11 @@
 import sys
-from collections import Counter
-from itertools import combinations
 
 import pytest
 
-from loosehc import colouring, splitting, switchbuild
+from loosehc import colouring, sampler, splitting, switchbuild
 from loosehc.colouring import Colouring
 from loosehc.cycles import LoosePath, increasing_path, validate_loose_cycle
-from loosehc.hypergraph import Hypergraph, InvalidInput, Parameters
+from loosehc.hypergraph import Hypergraph, InvalidInput, Parameters, UnmeetableGate
 from loosehc.rng import child_seed
 from loosehc.sampler import BudgetExhausted, sample_splitting
 from loosehc.splitting import (
@@ -341,23 +339,34 @@ def test_sample_switching_deterministic():
         [p.vertices for p in second.switching.new_splitting.paths]
 
 
-def test_sample_switching_impossible_geometry_returns_none():
-    # n = 10 cannot host three disjoint single-edge paths at all.
+def test_sample_switching_refuses_a_host_too_small(monkeypatch):
+    # n = 10 cannot host three disjoint single-edge paths at all: the run is
+    # refused before its first draw, after the strict-gate check.
     g = Hypergraph.complete(10, 3)
     cycle = validate_loose_cycle(g, range(10))
     chi = Colouring.injective(g)
-    params = desk_params()
     anchor = increasing_path(cycle, cycle.edge_sequence[0], 1)
-    result = sample_switching(g, chi, cycle, anchor, params,
-                              PipelineConfig(seed=1, sample_budget=300))
-    assert result is None
+    keys = []
+    monkeypatch.setattr(sampler, "stream", lambda *key: keys.append(key))
+    with pytest.raises(InvalidInput) as err:
+        sample_switching(g, chi, cycle, anchor, desk_params(),
+                         PipelineConfig(seed=1, sample_budget=300))
+    assert str(err.value) == (
+        "host-too-small: 3 disjoint paths of 1 edges need 6 cycle edges, the host has 5"
+    )
+    with pytest.raises(UnmeetableGate, match="^relative-degree: "):
+        sample_switching(g, chi, cycle, anchor, desk_params(),
+                         PipelineConfig(seed=1, structural=False))
+    assert keys == []
 
 
 def test_every_trial_draws_a_sample_of_the_right_size(monkeypatch):
-    # No trial is spent on a sample rejected on its size.  On K12 one draw of
-    # two positions in 15 gives the anchor's only balanced splitting, and the
-    # first six trials at seed 3 miss it.
-    g, chi, cycle, anchor = k12_anchor()
+    # No trial is spent on a sample that validate_splitting rejects: with no
+    # partition ever drawn, each of the 40 trials on K24 draws one sample,
+    # and each is a balanced splitting of split_size paths.
+    g = Hypergraph.complete(24, 3)
+    cycle = validate_loose_cycle(g, range(24))
+    anchor = increasing_path(cycle, cycle.edge_sequence[7], 1)
     params = desk_params()
     drawn = []
 
@@ -366,44 +375,14 @@ def test_every_trial_draws_a_sample_of_the_right_size(monkeypatch):
         return drawn[-1]
 
     monkeypatch.setattr(switchbuild, "sample_splitting", traced)
-    result = sample_switching(g, chi, cycle, anchor, params,
-                              PipelineConfig(seed=3, sample_budget=6))
-    assert result is None
-    assert [s.size for s in drawn] == [params.split_size] * 6
-
-
-def test_exact_size_draws_follow_the_conditioned_bernoulli_model(monkeypatch):
-    # sample_switching's draws of two positions on K12's six cycle edges
-    # against Bernoulli samples of the same size: a chi-square test of
-    # homogeneity over the 15 position pairs.  No partition is ever drawn, so
-    # every trial of the budget draws one sample.
-    from scipy.stats import chi2_contingency
-
-    g, chi, cycle, anchor = k12_anchor()
-    params = desk_params()
-    drawn = []
-
-    def traced(*args, **kwargs):
-        sample = sample_splitting(*args, **kwargs)
-        drawn.append(sample.sampled_positions)
-        return sample
-
-    monkeypatch.setattr(switchbuild, "sample_splitting", traced)
     monkeypatch.setattr(switchbuild, "draw_viable_partition", lambda *args: None)
-    config = PipelineConfig(seed=17, sample_budget=1500, partition_tries=1)
-    assert sample_switching(g, chi, cycle, anchor, params, config) is None
-    conditioned = []
-    trial = 0
-    while len(conditioned) < 1500:
-        sample = sample_splitting(cycle, anchor, params.split_size, 1, seed=18, trial=trial)
-        if sample.size == params.split_size:
-            conditioned.append(sample.sampled_positions)
-        trial += 1
-    pairs = list(combinations(range(cycle.edge_count), 2))
-    assert set(drawn) <= set(pairs) and set(conditioned) <= set(pairs)
-    table = [[Counter(drawn)[q] for q in pairs], [Counter(conditioned)[q] for q in pairs]]
-    assert len(drawn) == 1500 and min(min(row) for row in table) > 50
-    assert chi2_contingency(table).pvalue > 0.001
+    result = sample_switching(g, Colouring.injective(g), cycle, anchor, params,
+                              PipelineConfig(seed=3, sample_budget=40, partition_tries=1))
+    assert result is None and len(drawn) == 40
+    assert all(s.size == params.split_size for s in drawn)
+    assert all(isinstance(validate_splitting(cycle, s.all_paths, "balanced", 1), Splitting)
+               for s in drawn)
+    assert len({s.sampled_positions for s in drawn}) > 1
 
 
 def k12_anchor():
@@ -443,14 +422,14 @@ def traced_pipeline(monkeypatch, config, draw=passthrough, build=passthrough):
 
 
 def test_an_exhausted_partition_budget_moves_on_to_the_next_sample(monkeypatch):
-    # Trial 6 is the first whose sample is a balanced splitting; the next is 19.
+    # On K12 every trial draws the anchor's one balanced splitting.
     def exhausted_once(call, real, *args):
         if call == 1:
             raise BudgetExhausted("transverse-partition", "no acceptable partition")
         return real(*args)
 
     result, draws = traced_pipeline(monkeypatch, PipelineConfig(seed=3), draw=exhausted_once)
-    assert result is not None and draws == [(6, 0), (19, 0)]
+    assert result is not None and draws == [(0, 0), (1, 0)]
 
 
 def test_no_dicycle_moves_on_to_the_next_attempt(monkeypatch):
@@ -458,7 +437,7 @@ def test_no_dicycle_moves_on_to_the_next_attempt(monkeypatch):
         monkeypatch, PipelineConfig(seed=3),
         draw=lambda call, real, *args: None if call == 1 else real(*args),
     )
-    assert result is not None and draws == [(6, 0), (6, 1)]
+    assert result is not None and draws == [(0, 0), (0, 1)]
 
 
 def test_an_untileable_build_moves_on_to_the_next_attempt(monkeypatch):
@@ -468,7 +447,7 @@ def test_an_untileable_build_moves_on_to_the_next_attempt(monkeypatch):
         return real(*args)
 
     result, draws = traced_pipeline(monkeypatch, PipelineConfig(seed=3), build=infeasible_once)
-    assert result is not None and draws == [(6, 0), (6, 1)]
+    assert result is not None and draws == [(0, 0), (0, 1)]
 
 
 def test_sample_switching_returns_none_when_every_budget_runs_out(monkeypatch):
@@ -477,7 +456,7 @@ def test_sample_switching_returns_none_when_every_budget_runs_out(monkeypatch):
         draw=lambda call, real, *args: None,
     )
     assert result is None
-    assert draws == [(6, 0), (6, 1), (6, 2), (19, 0), (19, 1), (19, 2)]
+    assert draws == [(trial, attempt) for trial in range(20) for attempt in range(3)]
 
 
 def test_a_part_failure_is_reraised_naming_the_part(monkeypatch):
