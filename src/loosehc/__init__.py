@@ -24,7 +24,6 @@ from .hypergraph import (
     induced,
     min_j_degree,
     relative_degree,
-    unmeetable_gate,
 )
 from .oracles import (
     EnumerationBudget,

@@ -192,17 +192,17 @@ class Parameters:
         if self.threshold < 0:
             raise InvalidInput("threshold must be >= 0")
 
-    @property
+    @cached_property
     def part_count(self) -> int:
         """Number of parts in a transverse partition (= vertices per path)."""
         return self.path_len * (self.k - 1) + 1
 
-    @property
+    @cached_property
     def split_size(self) -> int:
         """Number of paths in a splitting (= size of each part)."""
         return self.part_count * self.pairs_per_part
 
-    @property
+    @cached_property
     def sample_size(self) -> int:
         """Total vertex count of a balanced splitting."""
         return self.part_count * self.split_size
@@ -238,14 +238,70 @@ class PipelineConfig:
         each part's tiling."""
         return self.structural if self.structural is not None else g.n < 50
 
+    def refusal(
+        self, g: Hypergraph, params: Parameters, *, events: bool, edge_count: int | None = None
+    ) -> InvalidInput | None:
+        """The pre-flight of a run on the host g: the refusal of its first
+        check that no draw can pass, or None.  It draws nothing; each
+        sampler raises what it returns before its first draw.
+
+        Parameters for another uniformity than g's get a plain InvalidInput.
+        Then come the UnmeetableGates, in order.  With events (the event
+        gate runs), low-sample-degree: a sample has M = sample_size
+        vertices, so a j-set lies in at most C(M - j, k - j) of its edges.
+        When is_structural(g) is False (the partition gate is strict),
+        entry-bound: some of the part_count parts holds pairs_per_part of
+        the m = split_size entries; and relative-degree: some j-set lies
+        inside a part of m vertices, with at most C(m - j, k - j) edges
+        into it.  The complete host attains both degree maxima.  Given the
+        host cycle's edge_count, host_too_small comes last.
+        """
+        k, j = params.k, params.j
+        if k != g.k:
+            return InvalidInput(f"parameters for k = {k} do not fit a {g.k}-uniform host")
+        if events:
+            size = params.sample_size
+            bound = sample_degree_bound(params.threshold, params.epsilon, size, k, j)
+            best = comb(size - j, k - j)
+            if best < bound:
+                return UnmeetableGate(
+                    "low-sample-degree",
+                    f"bound {bound:g} > {best} = C({size - j}, {k - j}) "
+                    f"edges a j-set has inside a sample of {size} vertices",
+                )
+        if not self.is_structural(g):
+            m, quota = params.split_size, params.pairs_per_part
+            cap = params.beta * m
+            if cap < quota:
+                return UnmeetableGate(
+                    "entry-bound",
+                    f"cap {cap:g} = beta*m < {quota}: some part holds at "
+                    f"least {quota} of the {m} entries",
+                )
+            bound = relative_degree_bound(params.threshold, params.epsilon, m, k, j)
+            best = comb(m - j, k - j)
+            if best < bound:
+                return UnmeetableGate(
+                    "relative-degree",
+                    f"bound {bound:g} > {best} = C({m - j}, {k - j}) "
+                    f"edges a j-set has into its own part",
+                )
+        if edge_count is not None:
+            return host_too_small(edge_count, params.split_size, params.path_len)
+        return None
+
 
 class UnmeetableGate(InvalidInput):
-    """A strict gate that no sample can meet on any host; the message leads
-    with the gate's name, as "gate: detail"."""
+    """A gate that no draw of a run can meet: UnmeetableGate(gate, detail),
+    with the message "gate: detail".  Both stay in args, so building one
+    runs no Python __init__ on a refusal path of a few microseconds."""
 
     @property
     def gate(self) -> str:
-        return str(self).partition(":")[0]
+        return self.args[0]
+
+    def __str__(self) -> str:
+        return f"{self.args[0]}: {self.args[1]}"
 
 
 def sample_degree_bound(threshold: float, epsilon: float, size: int, k: int, j: int) -> float:
@@ -260,49 +316,21 @@ def relative_degree_bound(threshold: float, epsilon: float, m: int, k: int, j: i
     return (threshold + 5 * epsilon / 8) * m ** (k - j)
 
 
-def unmeetable_gate(
-    params: Parameters, *, strict_partition: bool, events: bool
-) -> UnmeetableGate | None:
-    """The refusal of the first strict gate of a run that no sample can
-    meet on any host, or None.  A pure function of the parameters and the
-    mode, checked before anything is drawn: the samplers raise what it
-    returns, and the search reads the gate's name from it.
+def host_too_small(edge_count: int, path_count: int, path_len: int) -> UnmeetableGate | None:
+    """The refusal of a host cycle with too few edges for any disjoint
+    splitting of path_count paths of path_len edges, or None.
 
-    events (the event gate runs): a balanced sample has M = sample_size
-    vertices, so a j-set lies in at most C(M - j, k - j) of its edges
-    (low-sample-degree).  strict_partition (the partition gate is strict):
-    the m = split_size entries fall into part_count parts, so some part
-    holds at least pairs_per_part of them (entry-bound); and every part has
-    m >= k > j vertices, so some j-set lies inside a part and has at most
-    C(m - j, k - j) edges into it (relative-degree).  The complete host
-    attains both degree maxima.
+    Two paths are vertex-disjoint only when at least one edge of the cycle
+    separates them, so the paths need path_count*(path_len + 1) edges.
     """
-    k, j = params.k, params.j
-    if events:
-        size = params.sample_size
-        bound = sample_degree_bound(params.threshold, params.epsilon, size, k, j)
-        best = comb(size - j, k - j)
-        if best < bound:
-            return UnmeetableGate(
-                f"low-sample-degree: bound {bound:g} > {best} = C({size - j}, {k - j}) "
-                f"edges a j-set has inside a sample of {size} vertices"
-            )
-    if strict_partition:
-        m, quota = params.split_size, params.pairs_per_part
-        cap = params.beta * m
-        if cap < quota:
-            return UnmeetableGate(
-                f"entry-bound: cap {cap:g} = beta*m < {quota}: some part holds at "
-                f"least {quota} of the {m} entries"
-            )
-        bound = relative_degree_bound(params.threshold, params.epsilon, m, k, j)
-        best = comb(m - j, k - j)
-        if best < bound:
-            return UnmeetableGate(
-                f"relative-degree: bound {bound:g} > {best} = C({m - j}, {k - j}) "
-                f"edges a j-set has into its own part"
-            )
-    return None
+    need = path_count * (path_len + 1)
+    if edge_count >= need:
+        return None
+    return UnmeetableGate(
+        "host-too-small",
+        f"{path_count} disjoint paths of {path_len} edges need {need} cycle edges, "
+        f"the host has {edge_count}",
+    )
 
 
 class FormatError(InvalidInput):

@@ -26,10 +26,10 @@ from .hypergraph import (
     Parameters,
     PipelineConfig,
     edges_within,
+    host_too_small,
     relative_degree,
     relative_degree_bound,
     sample_degree_bound,
-    unmeetable_gate,
 )
 from .oracles import find_hamilton_dicycle
 from .rng import child_seed, stream
@@ -117,22 +117,6 @@ class SampledSplitting:
     @property
     def vertices(self) -> frozenset[int]:
         return self.sampled_vertices | self.anchor.vertex_set
-
-
-def host_too_small(edge_count: int, path_count: int, path_len: int) -> InvalidInput | None:
-    """The refusal of a host cycle with too few edges for any disjoint
-    splitting of path_count paths of path_len edges, or None.
-
-    Two paths are vertex-disjoint only when at least one edge of the cycle
-    separates them, so the paths need path_count*(path_len + 1) edges.
-    """
-    need = path_count * (path_len + 1)
-    if edge_count >= need:
-        return None
-    return InvalidInput(
-        f"host-too-small: {path_count} disjoint paths of {path_len} edges need "
-        f"{need} cycle edges, the host has {edge_count}"
-    )
 
 
 def sample_splitting(
@@ -449,17 +433,17 @@ def sample_transverse_partition(
     config.seed each, and gates every draw in the mode
     config.is_structural(g) picks for the host g: exit-quota is checked
     again on each, and strict mode also gates entry-bound and
-    relative-degree.  A strict gate that no partition can meet raises
-    UnmeetableGate before the first draw.
+    relative-degree.  Before the first draw it raises what
+    config.refusal(g, params, events=False) returns.
     """
+    refusal = config.refusal(g, params, events=False)
+    if refusal is not None:
+        raise refusal
     if splitting.size != params.split_size:
         raise InvalidInput(
             f"splitting has {splitting.size} paths, parameters say {params.split_size}"
         )
     structural = config.is_structural(g)
-    refusal = unmeetable_gate(params, strict_partition=not structural, events=False)
-    if refusal is not None:
-        raise refusal
     for attempt in range(config.partition_budget):
         gen = stream(config.seed, "transverse-partition", attempt)
         partition = _draw_transverse_partition(splitting, params.pairs_per_part, gen)
@@ -653,12 +637,13 @@ def estimate_suitable_fraction(
     mode.  Trials own independent streams, so results are identical for any
     job count; records are merged in trial order.  Workers take trials in
     chunks of 64, so at most ceil(trials / 64) of them are started, and
-    none when that is one.  Every trial runs the event gate, so a gate that
-    no trial can meet raises UnmeetableGate before the first draw.
+    none when that is one.  Before the first draw it raises what
+    config.refusal(g, params, events=True) returns: every trial runs the
+    event gate, and its Bernoulli draw needs no host size.
     """
     if trials < 1:
         raise InvalidInput("need at least one trial")
-    refusal = unmeetable_gate(params, strict_partition=not config.is_structural(g), events=True)
+    refusal = config.refusal(g, params, events=True)
     if refusal is not None:
         raise refusal
     args = [(g, chi, cycle, anchor, params, config, trial) for trial in range(trials)]

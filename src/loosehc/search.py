@@ -20,19 +20,14 @@ from dataclasses import dataclass, field, replace
 
 from .colouring import Colouring, is_rainbow
 from .cycles import LooseCycle, Violation, increasing_path, validate_loose_cycle
-from .hypergraph import (
-    Hypergraph,
-    InvalidInput,
-    Parameters,
-    PipelineConfig,
-    unmeetable_gate,
-)
+from .hypergraph import Hypergraph, InvalidInput, Parameters, PipelineConfig, UnmeetableGate
 from .oracles import uniform_random_hamilton_cycle
 from .rng import child_seed
-from .sampler import host_too_small
 from .switchbuild import sample_switching
 
 STALL_STEPS = 50  # switch steps without a new conflict low before a redraw
+# Each switch step runs on a copy of this config with its own child seed.
+PIPELINE = PipelineConfig(sample_budget=400, partition_tries=10)
 
 
 @dataclass(frozen=True)
@@ -107,7 +102,6 @@ def find_rainbow_hamilton_cycle(
     seed: int,
     max_steps: int = 500,
     start: LooseCycle | None = None,
-    pipeline: PipelineConfig | None = None,
 ) -> SearchResult:
     """Local search: resolve one conflict per step by a feasible switching,
     redrawing a fresh random Hamilton cycle when no switching can be built
@@ -115,34 +109,30 @@ def find_rainbow_hamilton_cycle(
     re-validated, whether its cycle came from the last step or an earlier
     one.
 
-    Each restart's log entry names its reason: the strict gate that no
-    sample can meet (found once, before the first step), "host-too-small"
-    for a host below the switching geometry, "budget-exhausted" when
-    sample_switching found nothing, or "stalled" after STALL_STEPS switch
-    steps without a new low in the conflict count since the last (re)start.
-    Each switch entry records the conflict count before and after the step.
+    Before the first draw it runs PIPELINE.refusal once: parameters of
+    another uniformity are raised, and an UnmeetableGate turns every step
+    into a restart without sampling.  Each restart's log entry names its
+    reason: that gate ("relative-degree", "host-too-small", ...),
+    "budget-exhausted" when sample_switching found nothing, or "stalled"
+    after STALL_STEPS switch steps without a new low in the conflict count
+    since the last (re)start.  Each switch entry records the conflict count
+    before and after the step.
     """
     if g.n % (g.k - 1) != 0:
         raise InvalidInput(f"(k-1) = {g.k - 1} must divide n = {g.n}")
     if start is not None and isinstance(validate_loose_cycle(g, start.vertices), Violation):
         raise InvalidInput("the start cycle is not a loose Hamilton cycle of the host")
+    refusal = PIPELINE.refusal(
+        g, params, events=PIPELINE.require_events, edge_count=g.n // (g.k - 1)
+    )
+    if refusal is not None and not isinstance(refusal, UnmeetableGate):
+        raise refusal
+    blocked = refusal and refusal.gate
     log = SearchLog()
     cycle = start if start is not None else uniform_random_hamilton_cycle(
         g, child_seed(seed, "search-start")
     )
     restarts = 0
-    base_pipeline = pipeline or PipelineConfig(sample_budget=400, partition_tries=10)
-    refusal = unmeetable_gate(
-        params,
-        strict_partition=not base_pipeline.is_structural(g),
-        events=base_pipeline.require_events,
-    )
-    if refusal is not None:
-        blocked = refusal.gate
-    elif host_too_small(cycle.edge_count, params.split_size, params.path_len):
-        blocked = "host-too-small"
-    else:
-        blocked = None
     conflicts = find_conflicts(cycle, chi, params.path_len)
     low, stalled = len(conflicts), 0
     step = 0
@@ -154,7 +144,7 @@ def find_rainbow_hamilton_cycle(
             anchor = increasing_path(
                 cycle, cycle.edge_sequence[target.anchor_start], params.path_len
             )
-            cfg = replace(base_pipeline, seed=child_seed(seed, "search-step", step))
+            cfg = replace(PIPELINE, seed=child_seed(seed, "search-step", step))
             built = sample_switching(g, chi, cycle, anchor, params, cfg)
         if built is None:
             # No switching available, or none has helped lately: redraw.

@@ -25,14 +25,12 @@ from .hypergraph import (
     Parameters,
     PipelineConfig,
     edges_within,
-    unmeetable_gate,
 )
 from .rng import child_seed
 from .sampler import (
     BudgetExhausted,
     accept_suitable,
     draw_viable_partition,
-    host_too_small,
     sample_splitting,
 )
 from .splitting import (
@@ -273,16 +271,11 @@ def sample_switching(
 
     Returns None when the budgets run out; the caller decides what that
     means (the whole pipeline is a heuristic at desk scale).  Before the
-    first draw it raises UnmeetableGate, an InvalidInput naming the gate,
-    when no sample can meet a strict gate of this run: the event gate with
-    config.require_events, the partition gate when the host is strict.
-    After that check, a host cycle with too few edges for any disjoint
-    splitting raises an InvalidInput that leads with host-too-small.
+    first draw it raises what config.refusal returns, with the event gate
+    when config.require_events is set and with the host's edge count.
     """
     config = config or PipelineConfig()
-    refusal = unmeetable_gate(
-        params, strict_partition=not config.is_structural(g), events=config.require_events
-    ) or host_too_small(host.edge_count, params.split_size, params.path_len)
+    refusal = config.refusal(g, params, events=config.require_events, edge_count=host.edge_count)
     if refusal is not None:
         raise refusal
     for trial in range(config.sample_budget):

@@ -127,19 +127,6 @@ def choose_reservoirs(req: TilingRequest) -> tuple[tuple[int, ...], ...]:
     return tuple(reservoirs)
 
 
-def check_reservoirs(req: TilingRequest, reservoirs) -> bool:
-    """Post-condition scan: near each pair the only conflict edge that may
-    survive is the pair itself."""
-    b = req.conflicts
-    mt = req.pair_count
-    for i in range(mt):
-        around = set(req.pairs[i]) | set(reservoirs[i]) | set(reservoirs[i + 1])
-        for edge in b.edges_inside(around):
-            if set(edge) != set(req.pairs[i]):
-                return False
-    return True
-
-
 def _block_plus(req, reservoirs, parts, p: int) -> set[int]:
     return set(parts[p]) | set(req.pairs[p]) | set(reservoirs[p]) | set(reservoirs[p + 1])
 

@@ -16,7 +16,7 @@ from loosehc.hypergraph import (
     Parameters,
     PipelineConfig,
     UnmeetableGate,
-    unmeetable_gate,
+    host_too_small,
 )
 from loosehc.oracles import find_hamilton_dicycle
 from loosehc.rng import stream
@@ -29,7 +29,6 @@ from loosehc.sampler import (
     check_events,
     exact_binomial_hit,
     estimate_suitable_fraction,
-    host_too_small,
     partition_conditions,
     sample_splitting,
     sample_transverse_partition,
@@ -227,6 +226,31 @@ def test_exact_size_draw_refuses_a_host_too_small():
         sample_splitting(cycle, anchor, 3, 1, seed=0, exact_size=True)
     assert str(err.value) == message
     assert host_too_small(5, 3, 1) is not None and host_too_small(6, 3, 1) is None
+
+
+@pytest.mark.parametrize("k, t, quota", list(product((3, 4, 5), (1, 2), (1, 2))))
+def test_host_size_bound_is_exact(k, t, quota):
+    # m paths of t edges fit on a cycle of exactly m*(t + 1) edges, with a
+    # one-edge gap after each; one edge fewer has room for no splitting.
+    params = desk_params(k=k, path_len=t, pairs_per_part=quota)
+    m, need = params.split_size, params.split_size * (t + 1)
+    preflight = PipelineConfig(structural=True)
+    for edges in (need, need - 1):
+        cycle = LooseCycle(tuple(range(edges * (k - 1))), k)
+        anchor = increasing_path(cycle, cycle.edge_sequence[0], t)
+        g = Hypergraph(cycle.n, k, ())
+        refusal = preflight.refusal(g, params, events=False, edge_count=edges)
+        if edges == need:
+            assert refusal is None
+            sample = sample_splitting(cycle, anchor, m, t, seed=0, exact_size=True)
+            assert isinstance(
+                validate_splitting(cycle, sample.all_paths, "balanced", t), Splitting
+            )
+        else:
+            assert refusal.gate == "host-too-small"
+            with pytest.raises(UnmeetableGate) as err:
+                sample_splitting(cycle, anchor, m, t, seed=0, exact_size=True)
+            assert err.value.gate == "host-too-small" and str(err.value) == str(refusal)
 
 
 def test_check_events_injective_never_fires_colour_pairs():
@@ -793,8 +817,8 @@ def test_check_events_matches_definitions():
     assert seen == {name: {True, False} for name in events.flags}, seen
 
 
-def preflight_refusal(params, **mode):
-    refusal = unmeetable_gate(params, **mode)
+def preflight_refusal(g, params, *, structural, events):
+    refusal = PipelineConfig(structural=structural).refusal(g, params, events=events)
     return None if refusal is None else refusal.gate
 
 
@@ -820,9 +844,12 @@ def complete_on_sample(k, t, quota):
 
 
 # k = 4, t = 2, m~ = 2 is left out: its sample has 98 vertices, and the
-# C(98, 4) = 3.6 million edges inside it are too many for a unit test.
+# C(98, 4) = 3.6 million edges inside it are too many for a unit test.  At
+# k = 5 only t = m~ = 1 fits: its sample has 25 vertices and C(25, 5) =
+# 53,130 edges.
 GATE_GRID = [(k, j, t, quota) for k in (3, 4) for j in range(1, k)
              for t in (1, 2) for quota in (1, 2) if (k, t, quota) != (4, 2, 2)]
+GATE_GRID += [(5, j, 1, 1) for j in range(1, 5)]
 
 
 @pytest.mark.parametrize("k, j, t, quota", GATE_GRID)
@@ -838,11 +865,11 @@ def test_preflight_refuses_exactly_the_gates_no_sample_meets(k, j, t, quota):
         events = check_events(sample, g, chi, epsilon=epsilon, path_count=params.split_size,
                               j=j, threshold=threshold)
         expected = "low-sample-degree" if events.flags["low-sample-degree"] else None
-        assert preflight_refusal(params, strict_partition=False, events=True) == expected
+        assert preflight_refusal(g, params, structural=True, events=True) == expected
         report = partition_conditions(splitting, partition, params, g, structural=False)
         for beta in (0.2, 0.5):
             params = replace(params, beta=beta)
-            refused = preflight_refusal(params, strict_partition=True, events=False)
+            refused = preflight_refusal(g, params, structural=False, events=False)
             if refused == "entry-bound":
                 # Pigeonhole: some part holds quota of the m entries.
                 most = max(len(part & set(splitting.entries)) for part in partition.parts)
@@ -850,7 +877,7 @@ def test_preflight_refuses_exactly_the_gates_no_sample_meets(k, j, t, quota):
                 continue
             expected = None if report.conditions["relative-degree"] else "relative-degree"
             assert refused == expected
-    assert preflight_refusal(params, strict_partition=False, events=False) is None
+    assert preflight_refusal(g, params, structural=True, events=False) is None
 
 
 def test_refused_runs_open_no_stream(monkeypatch):
@@ -881,6 +908,31 @@ def test_refused_runs_open_no_stream(monkeypatch):
     with pytest.raises(UnmeetableGate, match="^entry-bound: "):
         switchbuild.sample_switching(g, chi, cycle, anchor, desk_params(beta=0.1, epsilon=0.05),
                                      replace(config, require_events=False))
+    assert keys == []
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("entry", ["switch", "estimate", "partition"])
+def test_parameters_of_another_uniformity_are_refused_before_any_draw(monkeypatch, entry, k):
+    # Parameters of another k failed late on K24: at k = 4 sample_switching
+    # raised a bare KeyError; at k = 2 it spent its whole budget and
+    # returned None, and estimate_suitable_fraction reported rate 0.0.
+    g, cycle = complete_cycle(24)
+    chi = Colouring.injective(g)
+    anchor = increasing_path(cycle, cycle.edge_sequence[0], 1)
+    splitting = splitting_n12()
+    params, config = desk_params(k=k), PipelineConfig(seed=1)
+    runs = {
+        "switch": lambda: switchbuild.sample_switching(g, chi, cycle, anchor, params, config),
+        "estimate": lambda: estimate_suitable_fraction(g, chi, cycle, anchor, params, 5, config),
+        "partition": lambda: sample_transverse_partition(splitting, g, params, config),
+    }
+    keys = []
+    monkeypatch.setattr(sampler, "stream", lambda *key: keys.append(key))
+    with pytest.raises(InvalidInput) as err:
+        runs[entry]()
+    assert str(err.value) == f"parameters for k = {k} do not fit a 3-uniform host"
+    assert not isinstance(err.value, UnmeetableGate)
     assert keys == []
 
 

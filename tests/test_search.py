@@ -8,7 +8,13 @@ import pytest
 from loosehc.colouring import Colouring, is_rainbow
 from loosehc.constructions import first_prefix_colouring
 from loosehc.cycles import LooseCycle, increasing_path, validate_loose_cycle
-from loosehc.hypergraph import Hypergraph, InvalidInput, Parameters, PipelineConfig
+from loosehc.hypergraph import (
+    Hypergraph,
+    InvalidInput,
+    Parameters,
+    PipelineConfig,
+    UnmeetableGate,
+)
 from loosehc.oracles import uniform_random_hamilton_cycle
 from loosehc.rng import child_seed, stream
 import loosehc.search as search
@@ -143,10 +149,9 @@ def test_search_resolves_forced_conflict_by_switching():
 
 def test_search_passes_its_pipeline_config_to_each_step(monkeypatch):
     # One colour everywhere: every step finds a conflict and asks for a
-    # switching, which the stand-in refuses.
+    # switching, which the stand-in refuses.  Each step gets the module's
+    # PIPELINE with that step's child seed.
     g = Hypergraph.complete(12, 3)
-    pipeline = PipelineConfig(sample_budget=7, partition_budget=3, partition_tries=2,
-                              claim_budget=11, require_events=True)
     received = []
 
     def refuse(g, chi, cycle, anchor, params, config):
@@ -155,11 +160,12 @@ def test_search_passes_its_pipeline_config_to_each_step(monkeypatch):
 
     monkeypatch.setattr(search, "sample_switching", refuse)
     result = find_rainbow_hamilton_cycle(g, Colouring.constant(g), desk_params(),
-                                         seed=1, max_steps=2, pipeline=pipeline)
+                                         seed=1, max_steps=2)
     assert not result.success and result.restarts == 2
     assert [step["reason"] for step in result.log.steps] == ["budget-exhausted"] * 2
     assert [c.seed for c in received] == [child_seed(1, "search-step", s) for s in range(2)]
-    assert all(replace(c, seed=pipeline.seed) == pipeline for c in received)
+    assert all(replace(c, seed=search.PIPELINE.seed) == search.PIPELINE for c in received)
+    assert search.PIPELINE == PipelineConfig(sample_budget=400, partition_tries=10)
 
 
 def test_search_restarts_on_an_unmeetable_gate_without_sampling(monkeypatch):
@@ -174,6 +180,24 @@ def test_search_restarts_on_an_unmeetable_gate_without_sampling(monkeypatch):
     assert calls == []
     assert result.restarts == 3
     assert [step["reason"] for step in result.log.steps] == ["relative-degree"] * 3
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_search_raises_on_parameters_of_another_uniformity(monkeypatch, k):
+    # On K24 with colour = edge index mod 40, parameters built for k = 4
+    # made the first step raise a bare KeyError.  The search raises the
+    # pre-flight's refusal before drawing its first cycle, not a restart.
+    g = Hypergraph.complete(24, 3)
+    chi = Colouring(g, tuple(i % 40 for i in range(len(g.edges))))
+    params = Parameters(k=k, j=1, path_len=1, pairs_per_part=1,
+                        epsilon=0.2, mu=0.05, gamma=0.01, beta=0.5)
+    draws = []
+    monkeypatch.setattr(search, "uniform_random_hamilton_cycle", lambda *a: draws.append(a))
+    with pytest.raises(InvalidInput) as err:
+        find_rainbow_hamilton_cycle(g, chi, params, seed=1, max_steps=3)
+    assert str(err.value) == f"parameters for k = {k} do not fit a 3-uniform host"
+    assert not isinstance(err.value, UnmeetableGate)
+    assert draws == []
 
 
 def test_search_names_a_host_below_the_switching_geometry():

@@ -348,12 +348,13 @@ def test_sample_switching_refuses_a_host_too_small(monkeypatch):
     anchor = increasing_path(cycle, cycle.edge_sequence[0], 1)
     keys = []
     monkeypatch.setattr(sampler, "stream", lambda *key: keys.append(key))
-    with pytest.raises(InvalidInput) as err:
+    with pytest.raises(UnmeetableGate) as err:
         sample_switching(g, chi, cycle, anchor, desk_params(),
                          PipelineConfig(seed=1, sample_budget=300))
     assert str(err.value) == (
         "host-too-small: 3 disjoint paths of 1 edges need 6 cycle edges, the host has 5"
     )
+    assert err.value.gate == "host-too-small"
     with pytest.raises(UnmeetableGate, match="^relative-degree: "):
         sample_switching(g, chi, cycle, anchor, desk_params(),
                          PipelineConfig(seed=1, structural=False))

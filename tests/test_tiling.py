@@ -15,7 +15,6 @@ from loosehc.tiling import (
     TilingInfeasible,
     TilingRequest,
     build_path_tiling,
-    check_reservoirs,
     choose_reservoirs,
     fix_divisibility,
     repair_bad_parts,
@@ -45,6 +44,17 @@ def test_request_validation():
     with pytest.raises(InvalidInput):
         TilingRequest(Hypergraph.complete(7, 3), ((0, 1),),
                       PairGraph.from_pairs(heavy), 0)
+
+
+def check_reservoirs(req: TilingRequest, reservoirs) -> bool:
+    """choose_reservoirs' post-condition: near each pair the only conflict
+    edge that may survive is the pair itself."""
+    for i in range(req.pair_count):
+        around = set(req.pairs[i]) | set(reservoirs[i]) | set(reservoirs[i + 1])
+        for edge in req.conflicts.edges_inside(around):
+            if set(edge) != set(req.pairs[i]):
+                return False
+    return True
 
 
 def test_choose_reservoirs_empty_conflicts():
