@@ -6,7 +6,7 @@ byte-identical stdout (timings appear only with --timings, and only on
 stderr-side records otherwise).
 
 Exit codes: 0 success, 1 definitive negative result, 2 invalid input,
-3 budget exhaustion.
+3 budget exhaustion or a search that did not settle its question.
 """
 
 import argparse
@@ -62,7 +62,6 @@ from .sampler import (
 )
 from .search import find_rainbow_hamilton_cycle
 from .splitting import (
-    Rerouting,
     TransversePartition,
     partition_is_transverse,
     search_quota_rerouting,
@@ -346,7 +345,11 @@ def cmd_switch(args) -> int:
         if not partition_is_transverse(checked, partition):
             raise InvalidInput("partition file is not transverse for the splitting")
         rerouting = search_quota_rerouting(checked, partition, params.pairs_per_part)
-        if not isinstance(rerouting, Rerouting):
+        if rerouting == "incomplete":
+            emit({"type": "switching", "status": "incomplete"})
+            human("the rerouting search did not settle the per-part quota")
+            return EXIT_BUDGET
+        if rerouting is None:
             emit({"type": "switching", "status": "no-rerouting"})
             human("no rerouting meets the per-part quota")
             return EXIT_NEGATIVE

@@ -219,14 +219,13 @@ class PipelineConfig:
 
     seed: int = 0
     sample_budget: int = 2000    # splittings sampled per switching
-    partition_budget: int = 500  # transverse partitions drawn per attempt
-    partition_tries: int = 20    # partition/dicycle/build attempts per splitting
+    partition_budget: int = 500  # transverse partitions drawn per splitting
     claim_budget: int = 1000     # claim partitions drawn per tiling
     structural: bool | None = None  # None: decided by is_structural
     require_events: bool = False    # strict acceptance through the event gate
 
     def __post_init__(self) -> None:
-        for name in ("sample_budget", "partition_budget", "partition_tries", "claim_budget"):
+        for name in ("sample_budget", "partition_budget", "claim_budget"):
             if getattr(self, name) < 1:
                 raise InvalidInput(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -238,28 +237,26 @@ class PipelineConfig:
         each part's tiling."""
         return self.structural if self.structural is not None else g.n < 50
 
-    def refusal(
-        self, g: Hypergraph, params: Parameters, *, events: bool, edge_count: int | None = None
-    ) -> InvalidInput | None:
+    def refusal(self, g: Hypergraph, params: Parameters) -> InvalidInput | None:
         """The pre-flight of a run on the host g: the refusal of its first
         check that no draw can pass, or None.  It draws nothing; each
         sampler raises what it returns before its first draw.
 
         Parameters for another uniformity than g's get a plain InvalidInput.
-        Then come the UnmeetableGates, in order.  With events (the event
-        gate runs), low-sample-degree: a sample has M = sample_size
+        Then come the UnmeetableGates, in order.  With require_events (the
+        event gate runs), low-sample-degree: a sample has M = sample_size
         vertices, so a j-set lies in at most C(M - j, k - j) of its edges.
         When is_structural(g) is False (the partition gate is strict),
         entry-bound: some of the part_count parts holds pairs_per_part of
         the m = split_size entries; and relative-degree: some j-set lies
         inside a part of m vertices, with at most C(m - j, k - j) edges
-        into it.  The complete host attains both degree maxima.  Given the
-        host cycle's edge_count, host_too_small comes last.
+        into it.  The complete host attains both degree maxima.  Last comes
+        host_too_small, on the n/(k - 1) edges every Hamilton cycle of g has.
         """
         k, j = params.k, params.j
         if k != g.k:
             return InvalidInput(f"parameters for k = {k} do not fit a {g.k}-uniform host")
-        if events:
+        if self.require_events:
             size = params.sample_size
             bound = sample_degree_bound(params.threshold, params.epsilon, size, k, j)
             best = comb(size - j, k - j)
@@ -286,9 +283,7 @@ class PipelineConfig:
                     f"bound {bound:g} > {best} = C({m - j}, {k - j}) "
                     f"edges a j-set has into its own part",
                 )
-        if edge_count is not None:
-            return host_too_small(edge_count, params.split_size, params.path_len)
-        return None
+        return host_too_small(g.n // (k - 1), params.split_size, params.path_len)
 
 
 class UnmeetableGate(InvalidInput):

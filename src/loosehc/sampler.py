@@ -81,7 +81,6 @@ class SampledSplitting:
     anchor: LoosePath
     sampled_positions: tuple[int, ...]
     path_len: int
-    edge_prob: float
 
     @cached_property
     def paths(self) -> tuple[LoosePath, ...]:
@@ -166,7 +165,7 @@ def sample_splitting(
         ))
     else:
         positions = tuple(np.flatnonzero(gen.random(c) < p).tolist())
-    return SampledSplitting(cycle, anchor, positions, path_len, p)
+    return SampledSplitting(cycle, anchor, positions, path_len)
 
 
 @dataclass
@@ -342,13 +341,6 @@ def accept_suitable(
     return AcceptanceResult(True, [], events, checked)
 
 
-@dataclass
-class PartitionSample:
-    partition: TransversePartition
-    report: CheckReport
-    attempts: int
-
-
 def _draw_transverse_partition(
     splitting: Splitting, quota: int, gen
 ) -> TransversePartition:
@@ -425,18 +417,18 @@ def sample_transverse_partition(
     g: Hypergraph,
     params: Parameters,
     config: PipelineConfig,
-) -> PartitionSample:
+) -> TransversePartition:
     """Resample uniform transverse partitions that meet the exit quota
-    until the conditions hold.
+    until the conditions hold, and return the first that does.
 
     Draws at most config.partition_budget partitions, one stream of
     config.seed each, and gates every draw in the mode
     config.is_structural(g) picks for the host g: exit-quota is checked
     again on each, and strict mode also gates entry-bound and
     relative-degree.  Before the first draw it raises what
-    config.refusal(g, params, events=False) returns.
+    config.refusal(g, params) returns.
     """
-    refusal = config.refusal(g, params, events=False)
+    refusal = config.refusal(g, params)
     if refusal is not None:
         raise refusal
     if splitting.size != params.split_size:
@@ -447,9 +439,8 @@ def sample_transverse_partition(
     for attempt in range(config.partition_budget):
         gen = stream(config.seed, "transverse-partition", attempt)
         partition = _draw_transverse_partition(splitting, params.pairs_per_part, gen)
-        report = partition_conditions(splitting, partition, params, g, structural)
-        if report.ok:
-            return PartitionSample(partition, report, attempt + 1)
+        if partition_conditions(splitting, partition, params, g, structural).ok:
+            return partition
     raise BudgetExhausted(
         "transverse-partition",
         f"no acceptable partition in {config.partition_budget} attempts",
@@ -556,11 +547,11 @@ def draw_viable_partition(
     digraph has no Hamilton dicycle.  BudgetExhausted from the partition
     sampler passes through.
     """
-    drawn = sample_transverse_partition(splitting, g, params, config)
-    dicycle = find_hamilton_dicycle(build_aux_digraph(drawn.partition, splitting))
+    partition = sample_transverse_partition(splitting, g, params, config)
+    dicycle = find_hamilton_dicycle(build_aux_digraph(partition, splitting))
     if dicycle is None:
         return None
-    return build_viable_partition(splitting, drawn.partition, dicycle)
+    return build_viable_partition(splitting, partition, dicycle)
 
 
 @dataclass(frozen=True)
@@ -637,13 +628,14 @@ def estimate_suitable_fraction(
     mode.  Trials own independent streams, so results are identical for any
     job count; records are merged in trial order.  Workers take trials in
     chunks of 64, so at most ceil(trials / 64) of them are started, and
-    none when that is one.  Before the first draw it raises what
-    config.refusal(g, params, events=True) returns: every trial runs the
-    event gate, and its Bernoulli draw needs no host size.
+    none when that is one.  Every trial runs the event gate, so the trials
+    run under config with require_events set, and before the first draw it
+    raises what that config's refusal returns.
     """
     if trials < 1:
         raise InvalidInput("need at least one trial")
-    refusal = config.refusal(g, params, events=True)
+    config = replace(config, require_events=True)
+    refusal = config.refusal(g, params)
     if refusal is not None:
         raise refusal
     args = [(g, chi, cycle, anchor, params, config, trial) for trial in range(trials)]

@@ -27,7 +27,7 @@ from .switchbuild import sample_switching
 
 STALL_STEPS = 50  # switch steps without a new conflict low before a redraw
 # Each switch step runs on a copy of this config with its own child seed.
-PIPELINE = PipelineConfig(sample_budget=400, partition_tries=10)
+PIPELINE = PipelineConfig(sample_budget=400)
 
 
 @dataclass(frozen=True)
@@ -122,9 +122,7 @@ def find_rainbow_hamilton_cycle(
         raise InvalidInput(f"(k-1) = {g.k - 1} must divide n = {g.n}")
     if start is not None and isinstance(validate_loose_cycle(g, start.vertices), Violation):
         raise InvalidInput("the start cycle is not a loose Hamilton cycle of the host")
-    refusal = PIPELINE.refusal(
-        g, params, events=PIPELINE.require_events, edge_count=g.n // (g.k - 1)
-    )
+    refusal = PIPELINE.refusal(g, params)
     if refusal is not None and not isinstance(refusal, UnmeetableGate):
         raise refusal
     blocked = refusal and refusal.gate

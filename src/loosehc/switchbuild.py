@@ -267,15 +267,16 @@ def sample_switching(
     Each trial draws one splitting from the Bernoulli model conditioned on
     its size and on validate_splitting accepting it, so no draw is spent on
     a sample of the wrong size or shape; validate_splitting (or, with
-    config.require_events, accept_suitable) still checks every draw.
+    config.require_events, accept_suitable) still checks every draw.  It
+    then draws one viable partition and builds; a spent partition budget,
+    a missing dicycle or an untileable part moves on to the next trial.
 
     Returns None when the budgets run out; the caller decides what that
     means (the whole pipeline is a heuristic at desk scale).  Before the
-    first draw it raises what config.refusal returns, with the event gate
-    when config.require_events is set and with the host's edge count.
+    first draw it raises what config.refusal returns.
     """
     config = config or PipelineConfig()
-    refusal = config.refusal(g, params, events=config.require_events, edge_count=host.edge_count)
+    refusal = config.refusal(g, params)
     if refusal is not None:
         raise refusal
     for trial in range(config.sample_budget):
@@ -291,24 +292,20 @@ def sample_switching(
             )
         if not isinstance(splitting, Splitting):
             continue
-        for attempt in range(config.partition_tries):
-            try:
-                drawn = draw_viable_partition(
-                    splitting, g, params,
-                    replace(config, seed=child_seed(
-                        config.seed, "pipeline-partition", trial * 1000 + attempt
-                    )),
-                )
-            except BudgetExhausted:
-                break
+        # trial * 1000 is the key the pinned seeded searches and the
+        # benchmark digests were drawn under; another key moves every draw.
+        partition_seed = child_seed(config.seed, "pipeline-partition", trial * 1000)
+        try:
+            drawn = draw_viable_partition(
+                splitting, g, params, replace(config, seed=partition_seed)
+            )
             if drawn is None:
                 continue
             swapped, rerouting = drawn
-            try:
-                return build_feasible_switching(
-                    host, anchor, splitting, swapped, rerouting, g, chi, params,
-                    replace(config, seed=child_seed(config.seed, "pipeline-build", trial)),
-                )
-            except TilingInfeasible:
-                continue
+            return build_feasible_switching(
+                host, anchor, splitting, swapped, rerouting, g, chi, params,
+                replace(config, seed=child_seed(config.seed, "pipeline-build", trial)),
+            )
+        except (BudgetExhausted, TilingInfeasible):
+            continue
     return None

@@ -10,7 +10,7 @@ import loosehc
 from loosehc import cli
 from loosehc.cli import main
 from loosehc.colouring import Colouring, format_colouring
-from loosehc.constructions import tight_counterexample
+from loosehc.constructions import first_prefix_colouring, tight_counterexample
 from loosehc.cycles import LooseCycle, format_vertex_line
 from loosehc.hypergraph import Hypergraph, format_hypergraph
 from loosehc.search import find_conflicts
@@ -188,6 +188,24 @@ def test_switch_sample_refuses_a_host_too_small(tmp_path, capsys):
         "--hg", tmp_path / "g.hg", "--col", tmp_path / "g.col",
         "--cycle", tmp_path / "cycle.txt", "--p0", "0 1 2",
         "--seed", 3, "--t", 1, "--mtilde", 1, "--sample",
+    )
+    assert code == 2 and records == []
+    assert ("error: host-too-small: 3 disjoint paths of 1 edges need 6 cycle edges, "
+            "the host has 5\n") in err
+
+
+def test_estimate_refuses_a_host_too_small(tmp_path, capsys):
+    # Every Bernoulli sample on K10's 5-edge cycle fails validate_splitting,
+    # so the estimate is refused before its first trial, not reported as 0.
+    chi = first_prefix_colouring(10, 3)
+    (tmp_path / "g.hg").write_text(format_hypergraph(chi.graph))
+    (tmp_path / "g.col").write_text(format_colouring(chi))
+    (tmp_path / "cycle.txt").write_text(format_vertex_line(range(10)) + "\n")
+    code, records, err = run(
+        capsys, "estimate",
+        "--hg", tmp_path / "g.hg", "--col", tmp_path / "g.col",
+        "--cycle", tmp_path / "cycle.txt", "--p0", "0 1 2",
+        "--seed", 1, "--trials", 200, "--t", 1, "--mtilde", 1,
     )
     assert code == 2 and records == []
     assert ("error: host-too-small: 3 disjoint paths of 1 edges need 6 cycle edges, "
@@ -418,6 +436,37 @@ def test_switch_from_files_without_a_quota_rerouting(files, capsys):
     assert switch_from_files(
         capsys, files, files / "g.hg", files / "g.col", "0 4 8\n1 5 9\n2 6 10\n"
     ) == (1, [{"type": "switching", "status": "no-rerouting"}], 1)
+
+
+# Nine one-edge paths on K36's identity cycle (t = 1, m~ = 3): the exact
+# draw at seed 1, and the partition that draw_viable_partition gives for it
+# at seed 0.
+K36_PATHS = ["0 1 2", "4 5 6", "8 9 10", "12 13 14", "16 17 18", "20 21 22",
+             "24 25 26", "28 29 30", "32 33 34"]
+K36_PARTITION = "0 5 10 12 17 22 25 28 34\n1 6 8 13 18 20 24 30 33\n2 4 9 14 16 21 26 29 32\n"
+
+
+@pytest.mark.parametrize("paths, expected", [
+    (K36_PATHS, (1, [{"type": "switching", "status": "infeasible",
+                      "stage": "part-1:reservoirs"}], 1)),
+    (K36_PATHS[:1] + K36_PATHS[:0:-1], (3, [{"type": "switching", "status": "incomplete"}], 3)),
+], ids=["cyclic-order", "reversed"])
+def test_switch_from_files_reports_an_unsettled_rerouting_search(tmp_path, capsys, paths, expected):
+    # With m = 9 paths out of cyclic order, search_quota_rerouting skips its
+    # dicycle shortcut and is too large to search exhaustively.  In cyclic
+    # order the same paths have a rerouting, so "no-rerouting" would be wrong.
+    g = Hypergraph.complete(36, 3)
+    (tmp_path / "g.hg").write_text(format_hypergraph(g))
+    (tmp_path / "g.col").write_text(format_colouring(Colouring.injective(g)))
+    (tmp_path / "cycle.txt").write_text(format_vertex_line(range(36)) + "\n")
+    (tmp_path / "splitting.txt").write_text("\n".join(paths) + "\n")
+    (tmp_path / "partition.txt").write_text(K36_PARTITION)
+    assert run_with_manifest(
+        capsys, tmp_path, "switch", "--hg", tmp_path / "g.hg", "--col", tmp_path / "g.col",
+        "--cycle", tmp_path / "cycle.txt", "--p0", "0 1 2",
+        "--seed", 1, "--t", 1, "--mtilde", 3,
+        "--splitting", tmp_path / "splitting.txt", "--partition", tmp_path / "partition.txt",
+    ) == expected
 
 
 def test_switch_from_files_with_an_untileable_part(files, capsys):

@@ -182,7 +182,7 @@ def test_parameters_validation():
 
 
 @pytest.mark.parametrize(
-    "name", ["sample_budget", "partition_budget", "partition_tries", "claim_budget"]
+    "name", ["sample_budget", "partition_budget", "claim_budget"]
 )
 def test_pipeline_config_rejects_budgets_below_one(name):
     for value in (0, -1):

@@ -100,7 +100,6 @@ def test_sample_splitting_probability_and_determinism():
     _, cycle = complete_cycle(8)
     anchor = increasing_path(cycle, (0, 1, 2), 1)
     s = sample_splitting(cycle, anchor, 3, 1, seed=4)
-    assert s.edge_prob == 0.5  # (m-1)(k-1)/n = 4/8
     again = sample_splitting(cycle, anchor, 3, 1, seed=4)
     assert s.sampled_positions == again.sampled_positions
     assert len(s.all_paths) == len(s.paths) + 1
@@ -204,7 +203,7 @@ def test_exact_size_draws_reach_every_disjoint_splitting_and_nothing_else(
     valid = {
         positions for positions in combinations(range(c), path_count - 1)
         if isinstance(validate_splitting(
-            cycle, SampledSplitting(cycle, anchor, positions, path_len, 0.0).all_paths,
+            cycle, SampledSplitting(cycle, anchor, positions, path_len).all_paths,
             "balanced", path_len,
         ), Splitting)
     }
@@ -239,7 +238,7 @@ def test_host_size_bound_is_exact(k, t, quota):
         cycle = LooseCycle(tuple(range(edges * (k - 1))), k)
         anchor = increasing_path(cycle, cycle.edge_sequence[0], t)
         g = Hypergraph(cycle.n, k, ())
-        refusal = preflight.refusal(g, params, events=False, edge_count=edges)
+        refusal = preflight.refusal(g, params)
         if edges == need:
             assert refusal is None
             sample = sample_splitting(cycle, anchor, m, t, seed=0, exact_size=True)
@@ -251,6 +250,22 @@ def test_host_size_bound_is_exact(k, t, quota):
             with pytest.raises(UnmeetableGate) as err:
                 sample_splitting(cycle, anchor, m, t, seed=0, exact_size=True)
             assert err.value.gate == "host-too-small" and str(err.value) == str(refusal)
+
+
+def test_estimate_refuses_a_host_too_small(monkeypatch):
+    # No Bernoulli sample on K10's 5-edge cycle holds three disjoint paths,
+    # so every trial would be rejected and the estimate would read 0.0.
+    g, cycle = complete_cycle(10)
+    anchor = increasing_path(cycle, cycle.edge_sequence[0], 1)
+    keys = []
+    monkeypatch.setattr(sampler, "stream", lambda *key: keys.append(key))
+    with pytest.raises(UnmeetableGate) as err:
+        estimate_suitable_fraction(g, Colouring.injective(g), cycle, anchor, desk_params(),
+                                   200, PipelineConfig(seed=1))
+    assert str(err.value) == (
+        "host-too-small: 3 disjoint paths of 1 edges need 6 cycle edges, the host has 5"
+    )
+    assert keys == []
 
 
 def test_check_events_injective_never_fires_colour_pairs():
@@ -510,9 +525,9 @@ def test_partition_draws_follow_the_quota_accepted_sequential_process():
 def test_sample_transverse_partition_structural():
     g = Hypergraph.complete(12, 3)
     s = splitting_n12(g)
-    result = sample_transverse_partition(s, g, desk_params(), PipelineConfig(seed=2))
-    assert result.report.conditions == {"exit-quota": True}
-    assert result.attempts >= 1
+    partition = sample_transverse_partition(s, g, desk_params(), PipelineConfig(seed=2))
+    report = partition_conditions(s, partition, desk_params(), g, structural=True)
+    assert report.ok and report.conditions == {"exit-quota": True}
 
 
 def test_sample_transverse_partition_strict_config():
@@ -526,8 +541,8 @@ def test_sample_transverse_partition_strict_config():
     # own part.
     config = PipelineConfig(seed=2, structural=False)
     for params in (desk_params(epsilon=0.05), desk_params(j=2)):
-        result = sample_transverse_partition(s, g, params, config)
-        assert result.report.conditions == {
+        partition = sample_transverse_partition(s, g, params, config)
+        assert partition_conditions(s, partition, params, g, structural=False).conditions == {
             "exit-quota": True, "entry-bound": True, "relative-degree": True,
         }
 
@@ -818,7 +833,7 @@ def test_check_events_matches_definitions():
 
 
 def preflight_refusal(g, params, *, structural, events):
-    refusal = PipelineConfig(structural=structural).refusal(g, params, events=events)
+    refusal = PipelineConfig(structural=structural, require_events=events).refusal(g, params)
     return None if refusal is None else refusal.gate
 
 
@@ -834,7 +849,7 @@ def complete_on_sample(k, t, quota):
     cycle = LooseCycle(tuple(range(m * (t + 1) * (k - 1))), k)
     positions = tuple(range(0, m * (t + 1), t + 1))
     anchor = increasing_path(cycle, cycle.edge_sequence[0], t)
-    sample = SampledSplitting(cycle, anchor, positions[1:], t, 0.0)
+    sample = SampledSplitting(cycle, anchor, positions[1:], t)
     g = Hypergraph.from_edges(cycle.n, k, sorted(
         set(cycle.edge_sequence) | set(combinations(sorted(sample.vertices), k))
     ))
@@ -962,8 +977,9 @@ def test_sample_transverse_partition_raises_once_its_budget_is_spent(monkeypatch
     missed = {"exit-quota": True, "entry-bound": False, "relative-degree": True}
     met = dict.fromkeys(missed, True)
     assert gated == [missed] * 3
-    result = sample_transverse_partition(s, g, params, replace(config, partition_budget=4))
-    assert result.attempts == 4 and gated[3:] == [missed] * 3 + [met]
+    partition = sample_transverse_partition(s, g, params, replace(config, partition_budget=4))
+    assert gated[3:] == [missed] * 3 + [met]
+    assert partition_conditions(s, partition, params, g, structural=False).ok
 
 
 def test_draw_viable_partition_is_none_without_a_dicycle(monkeypatch):

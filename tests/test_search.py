@@ -165,7 +165,7 @@ def test_search_passes_its_pipeline_config_to_each_step(monkeypatch):
     assert [step["reason"] for step in result.log.steps] == ["budget-exhausted"] * 2
     assert [c.seed for c in received] == [child_seed(1, "search-step", s) for s in range(2)]
     assert all(replace(c, seed=search.PIPELINE.seed) == search.PIPELINE for c in received)
-    assert search.PIPELINE == PipelineConfig(sample_budget=400, partition_tries=10)
+    assert search.PIPELINE == PipelineConfig(sample_budget=400)
 
 
 def test_search_restarts_on_an_unmeetable_gate_without_sampling(monkeypatch):
@@ -249,7 +249,7 @@ def test_seeded_switching_is_pinned():
     anchor = increasing_path(host, host.edge_sequence[0], 1)
     built = sample_switching(g, class_colouring(g, 0.1, 7), host, anchor,
                              replace(desk_params(), mu=0.1),
-                             PipelineConfig(seed=7, sample_budget=400, partition_tries=10))
+                             PipelineConfig(seed=7, sample_budget=400))
     assert host.vertices == (0, 9, 17, 4, 19, 6, 3, 20, 1, 13, 15, 22, 18, 7, 2, 12, 5, 11,
                              10, 23, 16, 8, 21, 14)
     assert built.switching.new_cycle.vertices == (0, 11, 2, 12, 5, 7, 17, 4, 19, 6, 3, 20,

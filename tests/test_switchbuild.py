@@ -378,12 +378,56 @@ def test_every_trial_draws_a_sample_of_the_right_size(monkeypatch):
     monkeypatch.setattr(switchbuild, "sample_splitting", traced)
     monkeypatch.setattr(switchbuild, "draw_viable_partition", lambda *args: None)
     result = sample_switching(g, Colouring.injective(g), cycle, anchor, params,
-                              PipelineConfig(seed=3, sample_budget=40, partition_tries=1))
+                              PipelineConfig(seed=3, sample_budget=40))
     assert result is None and len(drawn) == 40
     assert all(s.size == params.split_size for s in drawn)
     assert all(isinstance(validate_splitting(cycle, s.all_paths, "balanced", 1), Splitting)
                for s in drawn)
     assert len({s.sampled_positions for s in drawn}) > 1
+
+
+def counted_partition_draws(monkeypatch):
+    draws = []
+    real = switchbuild.draw_viable_partition
+
+    def counted(*args):
+        draws.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(switchbuild, "draw_viable_partition", counted)
+    return draws
+
+
+@pytest.mark.parametrize("n, k, j, events", [
+    (24, 3, 1, False), (48, 3, 1, False), (60, 3, 2, False), (60, 3, 2, True), (24, 4, 1, False),
+])
+def test_the_first_partition_draw_builds_at_one_pair_per_part(monkeypatch, n, k, j, events):
+    # At t = m~ = 1 the first splitting's first partition draw builds the
+    # switching, structural (n < 50) and strict (n = 60) alike, so a trial
+    # draws one partition.  If this starts to fail, a retry of the
+    # partition draw within a trial may pay again.
+    g = Hypergraph.complete(n, k)
+    cycle = validate_loose_cycle(g, range(n))
+    chi = Colouring.injective(g)
+    draws = counted_partition_draws(monkeypatch)
+    for seed in range(3):
+        anchor = increasing_path(cycle, cycle.edge_sequence[3 * seed], 1)
+        draws.clear()
+        result = sample_switching(g, chi, cycle, anchor, desk_params(k=k, j=j),
+                                  PipelineConfig(seed=seed, require_events=events))
+        assert result is not None and len(draws) == 1, (seed, len(draws))
+
+
+def test_a_geometry_that_never_builds_draws_one_partition_per_trial(monkeypatch):
+    # At t = 1, m~ = 2 no part of K24 tiles, so every trial's one partition
+    # draw fails to build and the run ends after sample_budget draws.
+    g = Hypergraph.complete(24, 3)
+    cycle = validate_loose_cycle(g, range(24))
+    anchor = increasing_path(cycle, cycle.edge_sequence[0], 1)
+    draws = counted_partition_draws(monkeypatch)
+    result = sample_switching(g, Colouring.injective(g), cycle, anchor,
+                              desk_params(pairs_per_part=2), PipelineConfig(seed=1, sample_budget=25))
+    assert result is None and len(draws) == 25
 
 
 def k12_anchor():
@@ -399,11 +443,11 @@ def passthrough(call, real, *args):
 def traced_pipeline(monkeypatch, config, draw=passthrough, build=passthrough):
     """Run sample_switching on K12 with the partition draw (and optionally
     the build) replaced; each replacement is called with its call number
-    and the real function.  Returns the result and the (trial, attempt)
-    that each partition draw's child seed encodes."""
+    and the real function.  Returns the result and the trial that each
+    partition draw's child seed encodes."""
     index = {
-        child_seed(config.seed, "pipeline-partition", trial * 1000 + attempt): (trial, attempt)
-        for trial in range(config.sample_budget) for attempt in range(config.partition_tries)
+        child_seed(config.seed, "pipeline-partition", trial * 1000): trial
+        for trial in range(config.sample_budget)
     }
     draws, builds = [], []
     real_draw, real_build = switchbuild.draw_viable_partition, switchbuild.build_feasible_switching
@@ -430,34 +474,35 @@ def test_an_exhausted_partition_budget_moves_on_to_the_next_sample(monkeypatch):
         return real(*args)
 
     result, draws = traced_pipeline(monkeypatch, PipelineConfig(seed=3), draw=exhausted_once)
-    assert result is not None and draws == [(0, 0), (1, 0)]
+    assert result is not None and draws == [0, 1]
 
 
-def test_no_dicycle_moves_on_to_the_next_attempt(monkeypatch):
+def test_no_dicycle_moves_on_to_the_next_sample(monkeypatch):
     result, draws = traced_pipeline(
         monkeypatch, PipelineConfig(seed=3),
         draw=lambda call, real, *args: None if call == 1 else real(*args),
     )
-    assert result is not None and draws == [(0, 0), (0, 1)]
+    assert result is not None and draws == [0, 1]
 
 
-def test_an_untileable_build_moves_on_to_the_next_attempt(monkeypatch):
+def test_an_untileable_build_moves_on_to_the_next_sample(monkeypatch):
     def infeasible_once(call, real, *args):
         if call == 1:
             raise TilingInfeasible("part-0:ham-path", "no conflict-free spanning path in block 0")
         return real(*args)
 
     result, draws = traced_pipeline(monkeypatch, PipelineConfig(seed=3), build=infeasible_once)
-    assert result is not None and draws == [(0, 0), (0, 1)]
+    assert result is not None and draws == [0, 1]
 
 
 def test_sample_switching_returns_none_when_every_budget_runs_out(monkeypatch):
+    # One partition draw per trial: the sample budget bounds the draws.
     result, draws = traced_pipeline(
-        monkeypatch, PipelineConfig(seed=3, sample_budget=20, partition_tries=3),
+        monkeypatch, PipelineConfig(seed=3, sample_budget=20),
         draw=lambda call, real, *args: None,
     )
     assert result is None
-    assert draws == [(trial, attempt) for trial in range(20) for attempt in range(3)]
+    assert draws == list(range(20))
 
 
 def test_a_part_failure_is_reraised_naming_the_part(monkeypatch):
