@@ -62,6 +62,7 @@ from .sampler import (
 )
 from .search import find_rainbow_hamilton_cycle
 from .splitting import (
+    Splitting,
     TransversePartition,
     partition_is_transverse,
     search_quota_rerouting,
@@ -339,6 +340,12 @@ def cmd_switch(args) -> int:
         checked = validate_splitting(cycle, paths, "balanced", params.path_len)
         if isinstance(checked, Violation):
             raise InvalidInput(f"splitting file: {checked}")
+        # search_quota_rerouting's dicycle shortcut needs the paths in cyclic
+        # order, so the file's line order must not decide the answer.  Path 0,
+        # the anchor, stays first; violations above name the file's lines.
+        runs, c = checked.runs, cycle.edge_count
+        order = sorted(range(1, checked.size), key=lambda i: (runs[i][0] - runs[0][0]) % c)
+        checked = Splitting(cycle, (checked.paths[0], *(checked.paths[i] for i in order)))
         partition = TransversePartition(
             tuple(frozenset(row) for row in _load_vertex_lines(args.partition))
         )

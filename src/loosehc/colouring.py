@@ -1,9 +1,10 @@
 """Edge colourings, the global boundedness check and rainbow predicates."""
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .hypergraph import FormatError, Hypergraph, InvalidInput, data_lines
 
@@ -13,8 +14,10 @@ class Colouring:
     """A total map from the edges of a hypergraph to colour ids.
 
     Colour ids are arbitrary non-negative integers with no ordering
-    semantics.  The class-size index is derived once and cached because
-    shares_colour runs inside the hot loops of the search driver.
+    semantics.  The colouring stores only its assignment tuple; the colour
+    of an edge e is assignment[graph.edge_index[e]], so every colouring of
+    a host shares the host's one index.  The class sizes are derived once
+    and cached for check_global_bound and the CLI's construct command.
     """
 
     graph: Hypergraph
@@ -26,12 +29,13 @@ class Colouring:
                 f"colouring has {len(self.assignment)} entries for "
                 f"{len(self.graph.edges)} edges"
             )
-        if any(c < 0 for c in self.assignment):
+        if self.assignment and min(self.assignment) < 0:
             raise InvalidInput("colour ids must be non-negative")
 
-    @cached_property
-    def by_edge(self) -> dict[tuple[int, ...], int]:
-        return dict(zip(self.graph.edges, self.assignment))
+    @property
+    def by_edge(self) -> "EdgeColours":
+        """A read-only edge -> colour mapping over the host's index."""
+        return EdgeColours(self.graph.edge_index, self.assignment)
 
     @cached_property
     def class_sizes(self) -> dict[int, int]:
@@ -40,7 +44,7 @@ class Colouring:
     def colour(self, edge: Iterable[int]) -> int:
         e = tuple(sorted(edge))
         try:
-            return self.by_edge[e]
+            return self.assignment[self.graph.edge_index[e]]
         except KeyError:
             raise InvalidInput(f"edge {e} is not in the coloured hypergraph")
 
@@ -52,6 +56,25 @@ class Colouring:
     @classmethod
     def constant(cls, graph: Hypergraph, colour: int = 0) -> "Colouring":
         return cls(graph, (colour,) * len(graph.edges))
+
+
+class EdgeColours(Mapping):
+    """The colours of a host's edges as a mapping, stored as nothing but
+    the host's edge index and the colouring's assignment tuple."""
+
+    __slots__ = ("_index", "_assignment")
+
+    def __init__(self, index: dict[tuple[int, ...], int], assignment: tuple[int, ...]):
+        self._index, self._assignment = index, assignment
+
+    def __getitem__(self, edge: tuple[int, ...]) -> int:
+        return self._assignment[self._index[edge]]
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
 
 
 def check_global_bound(chi: Colouring, mu: float, n: int, k: int) -> bool:

@@ -6,7 +6,7 @@ immutable after construction.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import comb
@@ -20,36 +20,44 @@ class InvalidInput(ValueError):
 @dataclass(frozen=True)
 class Hypergraph:
     """A k-uniform hypergraph.  Edge order is preserved (it matters for
-    pairing a colouring file with an edge file)."""
+    pairing a colouring file with an edge file).
+
+    edge_index maps each edge to its position in edges.  It is the host's
+    one membership index, built by the duplicate-edge check, and every
+    colouring of the host reads its colours through it.
+    """
 
     n: int
     k: int
     edges: tuple[tuple[int, ...], ...]
+    edge_index: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.k < 2:
             raise InvalidInput(f"uniformity must be >= 2, got {self.k}")
         if self.n < 0:
             raise InvalidInput(f"vertex count must be >= 0, got {self.n}")
-        seen = set()
-        for e in self.edges:
+        index: dict[tuple[int, ...], int] = {}
+        for position, e in enumerate(self.edges):
             if len(e) != self.k or len(set(e)) != self.k:
                 raise InvalidInput(f"edge {e} does not have {self.k} distinct vertices")
             if list(e) != sorted(e):
                 raise InvalidInput(f"edge {e} is not sorted")
             if e[0] < 0 or e[-1] >= self.n:
                 raise InvalidInput(f"edge {e} has a vertex outside [0, {self.n})")
-            if e in seen:
+            if e in index:
                 raise InvalidInput(f"duplicate edge {e}")
-            seen.add(e)
+            index[e] = position
+        object.__setattr__(self, "edge_index", index)
 
     @cached_property
     def vertex_set(self) -> frozenset[int]:
         return frozenset(range(self.n))
 
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.edges)
+    @property
+    def edge_set(self) -> dict[tuple[int, ...], int]:
+        """The edge index, under the name the benchmark and the tests read."""
+        return self.edge_index
 
     @cached_property
     def by_vertex(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -61,7 +69,7 @@ class Hypergraph:
         return tuple(tuple(b) for b in buckets)
 
     def contains(self, vertices: Iterable[int]) -> bool:
-        return tuple(sorted(vertices)) in self.edge_set
+        return tuple(sorted(vertices)) in self.edge_index
 
     def is_complete(self) -> bool:
         return len(self.edges) == comb(self.n, self.k)
@@ -108,10 +116,11 @@ def relative_degree(g: Hypergraph, s: Iterable[int], w: Iterable[int]) -> int:
         raise InvalidInput(f"|S| = {len(s)} exceeds uniformity {g.k}")
     if not s:
         return len(edges_within(g, w))
+    index = g.edge_index
     return sum(
         1
         for c in combinations(sorted(w - s), g.k - len(s))
-        if tuple(sorted((*s, *c))) in g.edge_set
+        if tuple(sorted((*s, *c))) in index
     )
 
 
@@ -129,7 +138,8 @@ def edges_within(g: Hypergraph, w: Iterable[int]) -> list[tuple[int, ...]]:
     """Edges of g entirely contained in w (no relabelling)."""
     w = _check_vertex_set(g, w, "W")
     if comb(len(w), g.k) < len(g.edges):
-        return [e for e in combinations(sorted(w), g.k) if e in g.edge_set]
+        index = g.edge_index
+        return [e for e in combinations(sorted(w), g.k) if e in index]
     return [e for e in g.edges if w.issuperset(e)]
 
 

@@ -127,10 +127,10 @@ def _cycle_walks(g: Hypergraph, clock: _BudgetClock, colour_of=None):
     fixes the direction.  Edges are sorted tuples, so every interior comes
     out sorted.
 
-    With colour_of set, only rainbow walks come out.  Each edge of a walk
-    takes a new colour, so when the host's edges carry fewer colours than a
-    cycle has edges there is none, and the search ends before its first
-    node.
+    With colour_of (edge -> colour) set, only rainbow walks come out.  Each
+    edge of a walk takes a new colour, so when the host's edges carry fewer
+    colours than a cycle has edges there is none, and the search ends
+    before its first node.
     """
     if g.n % (g.k - 1) != 0:
         raise InvalidInput(f"(k-1) = {g.k - 1} must divide n = {g.n}")
@@ -145,10 +145,10 @@ def _cycle_walks(g: Hypergraph, clock: _BudgetClock, colour_of=None):
         mask = sum(1 << v for v in anchor)
         for entry, exit_ in combinations(anchor, 2):
             interior = [v for v in anchor if v != entry and v != exit_]
-            colours = {colour_of[anchor]} if colour_of else None
+            used_colours = {colour_of[anchor]} if colour_of is not None else None
             for walk in _loose_walks(
                 index, [entry, *interior, exit_], mask & ~(1 << entry),
-                entry, count - 1, clock.tick, colour_of, colours,
+                entry, count - 1, clock.tick, colour_of, used_colours,
             ):
                 yield walk[:-1]
             if clock.exhausted:
@@ -180,7 +180,9 @@ def exists_rainbow_loose_hc(
 ) -> RainbowSearchResult:
     """First rainbow loose Hamilton cycle in enumeration order, if any."""
     clock = _BudgetClock(budget or EnumerationBudget())
-    for walk in _cycle_walks(g, clock, colour_of=chi.by_edge):
+    # A plain dict for the search, which reads a colour at every node.
+    colour_of = dict(zip(chi.graph.edges, chi.assignment))
+    for walk in _cycle_walks(g, clock, colour_of):
         return RainbowSearchResult("found", LooseCycle._from_canonical(walk, g.k))
     return RainbowSearchResult("unknown" if clock.exhausted else "absent")
 
@@ -226,14 +228,16 @@ def find_tight_hamilton_cycle(
     n = g.n
     rainbow = chi is not None
     # Each of the n windows takes a new colour, so fewer colours leave none.
-    if rainbow and len({chi.by_edge[e] for e in g.edges}) < n:
-        return None
+    if rainbow:
+        index, assignment = chi.graph.edge_index, chi.assignment
+        if len({assignment[index[e]] for e in g.edges}) < n:
+            return None
     # third[a][b]: (c, colour of {a, b, c}) for every edge {a, b, c}, by c.
     third: list[list[list[tuple[int, int | None]]]] = [
         [[] for _ in range(n)] for _ in range(n)
     ]
     for e in g.edges:
-        colour = chi.by_edge[e] if rainbow else None
+        colour = assignment[index[e]] if rainbow else None
         for a, b, c in permutations(e):
             third[a][b].append((c, colour))
     for row in third:
@@ -248,7 +252,7 @@ def find_tight_hamilton_cycle(
             if not g.contains(window):
                 return False
             if rainbow:
-                c = chi.colour(window)
+                c = assignment[index[tuple(sorted(window))]]
                 if c in colours or c in closing:
                     return False
                 closing.append(c)

@@ -215,8 +215,8 @@ def check_events(
     sampled_set = sample.sampled_vertices
     sampled = sorted(sampled_set)
     everything = sorted(sample.vertices)
-    colour_of = chi.by_edge
-    host_colours = set(map(colour_of.__getitem__, cycle.edge_sequence))
+    index, colours = chi.graph.edge_index, chi.assignment
+    host_colours = {colours[index[e]] for e in cycle.edge_sequence}
 
     closeness: dict[tuple[int, int], bool] = {}
 
@@ -231,7 +231,7 @@ def check_events(
     heavy_sets: list[tuple[int, ...]] = []
     inside: list[tuple[tuple[int, ...], int]] = []
     for e in induced:
-        colour = colour_of[e]
+        colour = colours[index[e]]
         if colour in host_colours:
             heavy_sets.extend(s for s in combinations(e, k - 1) if sampled_set.issuperset(s))
         if sampled_set.issuperset(e):

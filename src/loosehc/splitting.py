@@ -353,7 +353,8 @@ def is_switching(
         shape_ok = False
         detail.append(f"new splitting: {check_new}")
     if graph is not None:
-        missing = [e for e in new_cycle.edge_sequence if e not in graph.edge_set]
+        index = graph.edge_index
+        missing = [e for e in new_cycle.edge_sequence if e not in index]
         if missing or new_cycle.n != graph.n:
             shape_ok = False
             detail.append(f"new cycle is not a Hamilton cycle of the graph: {missing[:3]}")
@@ -440,13 +441,12 @@ def is_suitable(
     conditions: dict[str, bool] = {}
     witnesses: dict[str, object] = {}
 
-    colour_of = chi.by_edge
-    host_colours = set(map(colour_of.__getitem__, splitting.host.edge_sequence))
+    index, colours = chi.graph.edge_index, chi.assignment
+    host_colours = {colours[index[e]] for e in splitting.host.edge_sequence}
     split_vertices = sorted(splitting.vertex_set)
     other_paths = [i for i in range(m) if i != anchor_index]
     allowance = epsilon * m / 4
 
-    edge_set = g.edge_set
     conditions["heavy-colour-set"] = True
     for s in _transverse_subsets(splitting, other_paths, k - 1):
         s_set = set(s)
@@ -454,8 +454,8 @@ def is_suitable(
         for v in split_vertices:
             if v in s_set:
                 continue
-            e = tuple(sorted((*s, v)))
-            if e in edge_set and colour_of[e] in host_colours:
+            position = index.get(tuple(sorted((*s, v))))
+            if position is not None and colours[position] in host_colours:
                 count += 1
         if count > allowance:
             conditions["heavy-colour-set"] = False
@@ -465,7 +465,7 @@ def is_suitable(
     outside = splitting.vertex_set - anchor.vertex_set
     by_colour: dict[int, list[tuple[int, ...]]] = {}
     for e in edges_within(g, outside):
-        by_colour.setdefault(colour_of[e], []).append(e)
+        by_colour.setdefault(colours[index[e]], []).append(e)
 
     conditions["adjacent-repeat"] = True
     conditions["disjoint-repeat-support"] = True

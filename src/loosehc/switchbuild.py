@@ -104,9 +104,10 @@ def _filtered_part_edges(
 ) -> list[tuple[int, ...]]:
     """Edges of g inside the part, minus those avoiding the anchor's vertex
     that repeat a host colour."""
+    index, colours = chi.graph.edge_index, chi.assignment
     kept = []
     for e in edges_within(g, part):
-        if anchor_vertex not in e and chi.by_edge[e] in host_colours:
+        if anchor_vertex not in e and colours[index[e]] in host_colours:
             continue
         kept.append(e)
     return kept
@@ -193,7 +194,8 @@ def build_feasible_switching(
         raise InvalidInput("rerouting does not meet the per-part pair quota")
 
     labels = part_labels(splitting, partition)
-    host_colours = {chi.by_edge[e] for e in host.edge_sequence}
+    index, colours = chi.graph.edge_index, chi.assignment
+    host_colours = {colours[index[e]] for e in host.edge_sequence}
 
     new_paths: list[LoosePath] = []
     trimmed: list[list[tuple[int, ...]]] = []
@@ -233,7 +235,7 @@ def build_feasible_switching(
             e for p in part_paths for e in p.edges if anchor_vertex not in e
         ]
         # The filter guarantees trimmed edges never repeat a host colour.
-        assert all(chi.by_edge[e] not in host_colours for e in edges_here)
+        assert all(colours[index[e]] not in host_colours for e in edges_here)
         trimmed.append(edges_here)
 
     # is_switching validates the new splitting ("shape") and compares the
