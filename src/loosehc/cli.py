@@ -401,16 +401,21 @@ def cmd_search(args) -> int:
     result = find_rainbow_hamilton_cycle(
         g, chi, params, seed=args.seed, max_steps=args.max_steps, start=start
     )
+    status = "found" if result.success else "absent" if result.absent else "budget-exhausted"
     emit({
         "type": "search",
-        "status": "found" if result.success else "budget-exhausted",
+        "status": status,
         "steps": result.steps, "restarts": result.restarts,
         "cycle": list(result.cycle.vertices),
         "remaining_conflicts": result.conflicts,
     })
-    human(("rainbow cycle found" if result.success else "no rainbow cycle")
-          + f" after {result.steps} steps ({result.restarts} restarts)")
-    return EXIT_OK if result.success else EXIT_BUDGET
+    if result.absent:
+        human(f"no rainbow cycle exists: fewer colours than the cycle's "
+              f"{result.cycle.edge_count} edges")
+    else:
+        human(("rainbow cycle found" if result.success else "no rainbow cycle")
+              + f" after {result.steps} steps ({result.restarts} restarts)")
+    return {"found": EXIT_OK, "absent": EXIT_NEGATIVE, "budget-exhausted": EXIT_BUDGET}[status]
 
 
 def cmd_verify(args) -> int:

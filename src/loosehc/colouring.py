@@ -1,36 +1,74 @@
 """Edge colourings, the global boundedness check and rainbow predicates."""
 
+from array import array
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .hypergraph import FormatError, Hypergraph, InvalidInput, data_lines
+
+
+def _pack(ids) -> array:
+    """The ids as an unsigned array of the narrowest width that holds them.
+
+    Ids in 0..255, the common case, are checked and packed in C by one
+    bytes() pass; otherwise each width is tried in turn, narrowest first.
+    bytes() reads a buffer object's raw memory, so an input that is not a
+    tuple, list, range or array.array is converted by value first.  An
+    array.array is never passed to bytes(): array() copies it by value.
+    """
+    if not isinstance(ids, (tuple, list, range, array)):
+        ids = ids.tolist() if hasattr(ids, "tolist") else list(ids)
+    try:
+        if not isinstance(ids, array):
+            try:
+                return array("B", bytes(ids))
+            except ValueError:  # an id outside 0..255
+                pass
+        for code in "BHIQ":
+            try:
+                return array(code, ids)
+            except OverflowError:
+                pass
+    except TypeError:
+        raise InvalidInput("colour ids must be integers") from None
+    if min(ids) < 0:
+        raise InvalidInput("colour ids must be non-negative")
+    raise InvalidInput(f"colour ids must be below 2**64, got {max(ids)}")
 
 
 @dataclass(frozen=True)
 class Colouring:
     """A total map from the edges of a hypergraph to colour ids.
 
-    Colour ids are arbitrary non-negative integers with no ordering
-    semantics.  The colouring stores only its assignment tuple; the colour
-    of an edge e is assignment[graph.edge_index[e]], so every colouring of
-    a host shares the host's one index.  The class sizes are derived once
-    and cached for check_global_bound and the CLI's construct command.
+    Colour ids are arbitrary non-negative integers below 2**64 with no
+    ordering semantics.  The assignment may be given as any sequence of
+    ids; it is stored as an unsigned array.array of the narrowest width
+    that holds its largest id (typecode B, H, I or Q), so most colourings
+    take one byte an edge.  The colour of an edge e is
+    assignment[graph.edge_index[e]], so every colouring of a host shares
+    the host's one index.  The width follows from the ids, so equal
+    colourings hold equal bytes, and hashing reads those bytes.  The class
+    sizes are derived once and cached for check_global_bound and the CLI's
+    construct command.
     """
 
     graph: Hypergraph
-    assignment: tuple[int, ...]  # colour of graph.edges[i]
+    assignment: Sequence[int]  # colour of graph.edges[i], packed
 
     def __post_init__(self) -> None:
-        if len(self.assignment) != len(self.graph.edges):
+        packed = _pack(self.assignment)
+        if len(packed) != len(self.graph.edges):
             raise InvalidInput(
-                f"colouring has {len(self.assignment)} entries for "
+                f"colouring has {len(packed)} entries for "
                 f"{len(self.graph.edges)} edges"
             )
-        if self.assignment and min(self.assignment) < 0:
-            raise InvalidInput("colour ids must be non-negative")
+        object.__setattr__(self, "assignment", packed)
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.assignment.tobytes()))
 
     @property
     def by_edge(self) -> "EdgeColours":
@@ -51,7 +89,7 @@ class Colouring:
     @classmethod
     def injective(cls, graph: Hypergraph) -> "Colouring":
         """Every edge its own colour."""
-        return cls(graph, tuple(range(len(graph.edges))))
+        return cls(graph, range(len(graph.edges)))
 
     @classmethod
     def constant(cls, graph: Hypergraph, colour: int = 0) -> "Colouring":
@@ -60,11 +98,11 @@ class Colouring:
 
 class EdgeColours(Mapping):
     """The colours of a host's edges as a mapping, stored as nothing but
-    the host's edge index and the colouring's assignment tuple."""
+    the host's edge index and the colouring's packed assignment array."""
 
     __slots__ = ("_index", "_assignment")
 
-    def __init__(self, index: dict[tuple[int, ...], int], assignment: tuple[int, ...]):
+    def __init__(self, index: dict[tuple[int, ...], int], assignment: Sequence[int]):
         self._index, self._assignment = index, assignment
 
     def __getitem__(self, edge: tuple[int, ...]) -> int:
@@ -83,6 +121,18 @@ def check_global_bound(chi: Colouring, mu: float, n: int, k: int) -> bool:
         raise InvalidInput(f"mu must be positive, got {mu}")
     bound = mu * n ** (k - 1)
     return all(size <= bound for size in chi.class_sizes.values())
+
+
+def has_fewer_colours(chi: Colouring, count: int) -> bool:
+    """True iff chi uses fewer than count distinct colours.  The scan reads
+    the assignment in edge order and stops once count colours have turned
+    up."""
+    seen: set[int] = set()
+    for c in chi.assignment:
+        if len(seen) >= count:
+            return False
+        seen.add(c)
+    return len(seen) < count
 
 
 def is_rainbow(chi: Colouring, edges: Iterable[Iterable[int]]) -> bool:
@@ -127,12 +177,14 @@ def parse_colouring(text: str, graph: Hypergraph) -> Colouring:
         c = numbers[0]
         if c < 0:
             raise FormatError(lineno, f"colour must be non-negative, got {c}")
+        if c >= 2**64:
+            raise FormatError(lineno, f"colour must be below 2**64, got {c}")
         colours.append(c)
     if len(colours) != len(graph.edges):
         raise InvalidInput(
             f"colouring has {len(colours)} entries for {len(graph.edges)} edges"
         )
-    return Colouring(graph, tuple(colours))
+    return Colouring(graph, colours)
 
 
 def format_colouring(chi: Colouring) -> str:

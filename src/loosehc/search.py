@@ -13,12 +13,14 @@ when the budgets run out, and when STALL_STEPS switch steps since the last
 (re)start have brought no new low in the conflict count, so a search held
 in a basin leaves it.  The conflict list of the cycle in hand decides
 success, the cycle from the last step included.  The search is a
-heuristic: exhausting the step budget is a report, not an error.
+heuristic: exhausting the step budget is a report, not an error.  Its one
+proof is the colour count: a colouring with fewer colours than a cycle has
+edges leaves no rainbow cycle, and the search answers absent at once.
 """
 
 from dataclasses import dataclass, field, replace
 
-from .colouring import Colouring, is_rainbow
+from .colouring import Colouring, has_fewer_colours, is_rainbow
 from .cycles import LooseCycle, Violation, increasing_path, validate_loose_cycle
 from .hypergraph import Hypergraph, InvalidInput, Parameters, PipelineConfig, UnmeetableGate
 from .oracles import uniform_random_hamilton_cycle
@@ -91,6 +93,7 @@ class SearchResult:
     restarts: int
     conflicts: int  # conflict count of the returned cycle
     log: SearchLog
+    absent: bool = False  # proven: no rainbow Hamilton cycle exists
 
     def __bool__(self) -> bool:
         return self.success
@@ -118,6 +121,10 @@ def find_rainbow_hamilton_cycle(
     after STALL_STEPS switch steps without a new low in the conflict count
     since the last (re)start.  Each switch entry records the conflict count
     before and after the step.
+
+    When chi has fewer colours than a cycle has edges, n/(k-1), no cycle
+    is rainbow: the search draws its start cycle, logs the proof
+    ("colour-count") and returns with absent set, before any switch step.
     """
     if g.n % (g.k - 1) != 0:
         raise InvalidInput(f"(k-1) = {g.k - 1} must divide n = {g.n}")
@@ -133,6 +140,10 @@ def find_rainbow_hamilton_cycle(
     )
     restarts = 0
     conflicts = find_conflicts(cycle, chi, params.path_len)
+    if has_fewer_colours(chi, cycle.edge_count):
+        log.note(step=0, action="absent", proof="colour-count",
+                 conflicts=len(conflicts))
+        return SearchResult(False, cycle, 0, 0, len(conflicts), log, absent=True)
     low, stalled = len(conflicts), 0
     step = 0
     while conflicts and step < max_steps:

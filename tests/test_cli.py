@@ -508,11 +508,12 @@ def test_switch_from_files_with_an_untileable_part(files, capsys):
 
 @pytest.mark.parametrize("n", [12, 10], ids=["after-a-switch", "after-a-restart"])
 def test_failed_search_reports_the_conflicts_of_the_cycle_it_prints(tmp_path, capsys, n):
-    # Classes of 44 edges in edge order leave fewer colours than a cycle has
-    # edges, so the search cannot succeed; K12 switches, K10 is too small to
-    # switch and restarts.
+    # Colour 0 on every edge meeting {0, 1, 2, 3}, which a cycle covers
+    # with two edges, and a colour of its own on every other edge: no cycle
+    # is rainbow, though the colour count proves nothing.  K12 switches,
+    # K10 is too small to switch and restarts.
     g = Hypergraph.complete(n, 3)
-    chi = Colouring(g, tuple(i // 44 for i in range(len(g.edges))))
+    chi = Colouring(g, [0 if e[0] < 4 else i + 1 for i, e in enumerate(g.edges)])
     (tmp_path / "g.hg").write_text(format_hypergraph(g))
     (tmp_path / "g.col").write_text(format_colouring(chi))
     code, records, _ = run(
@@ -522,6 +523,27 @@ def test_failed_search_reports_the_conflicts_of_the_cycle_it_prints(tmp_path, ca
     assert code == 3 and records[0]["status"] == "budget-exhausted"
     cycle = LooseCycle(tuple(records[0]["cycle"]), 3)
     assert records[0]["remaining_conflicts"] == len(find_conflicts(cycle, chi, 1))
+
+
+def test_search_reports_absent_when_the_colours_run_out(tmp_path, capsys):
+    # Classes of 44 edges in edge order give K12 5 colours for its 6-edge
+    # cycles: absent, exit 1, as rainbow-exists answers, with no step taken.
+    g = Hypergraph.complete(12, 3)
+    chi = Colouring(g, [i // 44 for i in range(len(g.edges))])
+    (tmp_path / "g.hg").write_text(format_hypergraph(g))
+    (tmp_path / "g.col").write_text(format_colouring(chi))
+    code, records, err = run(
+        capsys, "search", "--hg", tmp_path / "g.hg", "--col", tmp_path / "g.col",
+        "--t", 1, "--mtilde", 1, "--seed", 0,
+    )
+    assert code == 1
+    assert [(r["status"], r["steps"], r["restarts"]) for r in records] == [("absent", 0, 0)]
+    cycle = LooseCycle(tuple(records[0]["cycle"]), 3)
+    assert records[0]["remaining_conflicts"] == len(find_conflicts(cycle, chi, 1)) > 0
+    assert "no rainbow cycle exists" in err
+    code, records, _ = run(capsys, "rainbow-exists", "--hg", tmp_path / "g.hg",
+                           "--col", tmp_path / "g.col")
+    assert code == 1 and records[0]["status"] == "absent"
 
 
 def test_commented_cycle_and_anchor_files_load(files, capsys):

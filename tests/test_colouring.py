@@ -1,6 +1,8 @@
 import pickle
 import tracemalloc
+from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -95,13 +97,13 @@ def test_parse_colouring_reports_bad_lines(text, line, message):
 def test_colour_ids_must_be_non_negative():
     with pytest.raises(InvalidInput, match="colour ids must be non-negative"):
         Colouring(chain_graph(), (0, -1, 2))
-    assert Colouring(Hypergraph(5, 3, ()), ()).assignment == ()
+    assert len(Colouring(Hypergraph(5, 3, ()), ()).assignment) == 0
 
 
 def test_a_colouring_stores_no_copy_of_the_edges():
     # Every colouring of a host reads its colours through the host's one
-    # edge index: building one, its by_edge mapping and a lookup allocate
-    # far less than a dict entry per edge.
+    # edge index, and its ids below 50 pack into one byte each: building
+    # one, its by_edge mapping and a lookup allocate under 2 bytes an edge.
     g = Hypergraph.complete(36, 3)
     assignment = tuple(i % 50 for i in range(len(g.edges)))
     tracemalloc.start()
@@ -114,7 +116,7 @@ def test_a_colouring_stores_no_copy_of_the_edges():
     finally:
         tracemalloc.stop()
     assert colour == by_edge[(0, 17, 35)] == assignment[g.edges.index((0, 17, 35))]
-    assert allocated < 8 * len(g.edges), allocated
+    assert allocated < 2 * len(g.edges), allocated
 
 
 def test_edge_set_is_the_host_index():
@@ -146,3 +148,77 @@ def test_colours_follow_the_file_order_of_a_parsed_host():
     with pytest.raises(InvalidInput, match=r"edge \(0, 1, 3\) is not in the coloured hypergraph"):
         chi.colour((3, 1, 0))
     assert parse_colouring(format_colouring(chi), g) == chi
+
+
+@pytest.mark.parametrize("top, typecode", [
+    (255, "B"), (256, "H"), (65535, "H"), (65536, "I"),
+    (2**32 - 1, "I"), (2**32, "Q"), (2**64 - 1, "Q"),
+])
+def test_ids_pack_into_the_narrowest_unsigned_width(top, typecode):
+    chi = Colouring(chain_graph(), (0, top, 1))
+    assert chi.assignment.typecode == typecode
+    assert list(chi.assignment) == [0, top, 1]
+    assert chi.colour((2, 3, 4)) == chi.by_edge[(2, 3, 4)] == top
+    assert chi.class_sizes == {0: 1, top: 1, 1: 1}
+    assert parse_colouring(format_colouring(chi), chi.graph) == chi
+
+
+def test_an_id_of_2_to_the_64_is_refused():
+    g = chain_graph()
+    with pytest.raises(InvalidInput, match=r"colour ids must be below 2\*\*64"):
+        Colouring(g, (0, 2**64, 1))
+    with pytest.raises(FormatError, match=r"line 3: colour must be below 2\*\*64") as err:
+        parse_colouring(f"0\n# a comment\n{2**64}\n1\n", g)
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("ids", [(0, 1.5, 2), (300, 1.5, 2), (0, "1", 2), (0, None, 2)],
+                         ids=["narrow", "wide", "str", "none"])
+def test_a_non_integer_id_is_invalid_input(ids):
+    with pytest.raises(InvalidInput, match="colour ids must be integers"):
+        Colouring(chain_graph(), ids)
+
+
+@pytest.mark.parametrize("ids", [(0, -1, 2), (300, -1, 2), [-300, 0, 0]])
+def test_a_negative_id_keeps_its_message_at_any_width(ids):
+    with pytest.raises(InvalidInput, match="colour ids must be non-negative"):
+        Colouring(chain_graph(), ids)
+
+
+@pytest.mark.parametrize("make", [
+    tuple, list, lambda r: r, lambda r: array("I", r), lambda r: array("Q", r),
+    lambda r: np.array(r, dtype=np.int64), lambda r: iter(r),
+], ids=["tuple", "list", "range", "array-I", "array-Q", "numpy-int64", "iterator"])
+@pytest.mark.parametrize("offset", [0, 1000])
+def test_every_input_form_packs_by_value(make, offset):
+    # bytes() of an array('I') or a numpy array would read 4 or 8 bytes an
+    # id; every form must give one entry per edge with the same ids.
+    g = Hypergraph.complete(9, 3)
+    ids = range(offset, offset + len(g.edges))
+    chi = Colouring(g, make(ids))
+    assert chi.assignment.typecode == ("B" if offset == 0 else "H")
+    assert list(chi.assignment) == list(ids)
+    assert chi.colour((6, 7, 8)) == ids[-1]
+    assert (chi == Colouring.injective(g)) == (offset == 0)
+
+
+def test_a_wrongly_sized_buffer_is_not_read_as_raw_bytes():
+    # array("I", [1, 2, 3]) holds 12 bytes; read raw, it would look like 12
+    # colours of a 12-edge host.
+    g = Hypergraph.from_edges(12, 3, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(4)])
+    with pytest.raises(InvalidInput, match="colouring has 3 entries for 4 edges"):
+        Colouring(g, array("I", [1, 2, 3]))
+    with pytest.raises(InvalidInput, match="colouring has 3 entries for 4 edges"):
+        Colouring(g, np.array([1, 2, 3], dtype=np.int32))
+
+
+def test_colourings_from_a_tuple_and_its_packed_array_are_equal_and_hash_equal():
+    g = Hypergraph.complete(9, 3)
+    for ids in (tuple(i % 7 for i in range(len(g.edges))), tuple(range(300, 384))):
+        chi = Colouring(g, ids)
+        packed = Colouring(g, chi.assignment)
+        assert packed == chi and hash(packed) == hash(chi)
+        assert packed.assignment == chi.assignment
+        assert packed.assignment is not chi.assignment
+        assert len({chi, packed, Colouring(g, list(ids))}) == 1
+    assert Colouring(g, (1,) * 84) != Colouring.constant(g)

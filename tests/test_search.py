@@ -148,7 +148,7 @@ def test_search_resolves_forced_conflict_by_switching():
 
 
 def test_search_passes_its_pipeline_config_to_each_step(monkeypatch):
-    # One colour everywhere: every step finds a conflict and asks for a
+    # No cycle is rainbow: every step finds a conflict and asks for a
     # switching, which the stand-in refuses.  Each step gets the module's
     # PIPELINE with that step's child seed.
     g = Hypergraph.complete(12, 3)
@@ -159,7 +159,7 @@ def test_search_passes_its_pipeline_config_to_each_step(monkeypatch):
         return None
 
     monkeypatch.setattr(search, "sample_switching", refuse)
-    result = find_rainbow_hamilton_cycle(g, Colouring.constant(g), desk_params(),
+    result = find_rainbow_hamilton_cycle(g, no_rainbow_cycle(g), desk_params(),
                                          seed=1, max_steps=2)
     assert not result.success and result.restarts == 2
     assert [step["reason"] for step in result.log.steps] == ["budget-exhausted"] * 2
@@ -203,7 +203,7 @@ def test_search_raises_on_parameters_of_another_uniformity(monkeypatch, k):
 def test_search_names_a_host_below_the_switching_geometry():
     # Three paths of one edge, with a one-edge gap each, need 12 vertices.
     g = Hypergraph.complete(10, 3)
-    result = find_rainbow_hamilton_cycle(g, Colouring.constant(g), desk_params(),
+    result = find_rainbow_hamilton_cycle(g, no_rainbow_cycle(g), desk_params(),
                                          seed=1, max_steps=2)
     assert [step["reason"] for step in result.log.steps] == ["host-too-small"] * 2
 
@@ -302,6 +302,49 @@ def few_colours(g):
     return Colouring(g, tuple(i // 44 for i in range(len(g.edges))))
 
 
+def no_rainbow_cycle(g):
+    """Colour 0 on every edge that meets {0, 1, 2, 3}, and a colour of its
+    own on every other edge.  A loose Hamilton cycle needs two edges to
+    cover four vertices, so none is rainbow, yet the colours outnumber a
+    cycle's edges and the colour count proves nothing."""
+    return Colouring(g, [0 if e[0] < 4 else i + 1 for i, e in enumerate(g.edges)])
+
+
+@pytest.mark.parametrize("n, k, chi_for", [
+    (12, 3, few_colours),
+    (12, 5, lambda g: Colouring(g, [i % 2 for i in range(len(g.edges))])),
+    (16, 5, lambda g: Colouring(g, [i % 3 for i in range(len(g.edges))])),
+], ids=["k3-5-colours", "k5-n12-2-colours", "k5-n16-3-colours"])
+def test_search_answers_absent_when_the_colours_run_out(monkeypatch, n, k, chi_for):
+    # A rainbow cycle has n/(k-1) edges of distinct colours, so fewer
+    # colours prove there is none: the search draws its start cycle, logs
+    # the proof and returns before its first switch step.
+    g = Hypergraph.complete(n, k)
+    chi = chi_for(g)
+    params = replace(desk_params(), k=k)
+    calls = []
+    monkeypatch.setattr(search, "sample_switching", lambda *args: calls.append(args))
+    result = find_rainbow_hamilton_cycle(g, chi, params, seed=3, max_steps=500)
+    assert calls == []
+    assert result.absent and not result.success
+    assert (result.steps, result.restarts) == (0, 0)
+    assert result.cycle == uniform_random_hamilton_cycle(g, child_seed(3, "search-start"))
+    assert result.conflicts == len(find_conflicts(result.cycle, chi, 1)) > 0
+    assert result.log.steps == [
+        {"step": 0, "action": "absent", "proof": "colour-count", "conflicts": result.conflicts}
+    ]
+
+
+def test_as_many_colours_as_cycle_edges_prove_nothing():
+    # Six colours for K12's 6-edge cycles: the search runs its steps.
+    g = Hypergraph.complete(12, 3)
+    chi = Colouring(g, [i // 37 for i in range(len(g.edges))])
+    assert len(chi.class_sizes) == 6
+    result = find_rainbow_hamilton_cycle(g, chi, desk_params(), seed=0, max_steps=3)
+    assert not result.absent
+    assert result.steps == 3 or result.success
+
+
 @pytest.mark.parametrize("n, action", [(12, "switch"), (10, "restart")])
 def test_search_scans_each_cycle_it_holds_once(monkeypatch, n, action):
     scanned = []
@@ -312,7 +355,8 @@ def test_search_scans_each_cycle_it_holds_once(monkeypatch, n, action):
 
     monkeypatch.setattr(search, "find_conflicts", counted)
     g = Hypergraph.complete(n, 3)
-    result = find_rainbow_hamilton_cycle(g, few_colours(g), desk_params(), seed=0, max_steps=3)
+    result = find_rainbow_hamilton_cycle(g, no_rainbow_cycle(g), desk_params(), seed=0,
+                                         max_steps=3)
     assert not result.success
     assert [step["action"] for step in result.log.steps] == [action] * 3
     # The start cycle and the one after each step, the returned one last.
@@ -350,11 +394,11 @@ def runs_without_a_low(steps):
 
 
 @pytest.mark.parametrize("chi_for, seed, max_steps", [
-    (few_colours, 0, 300),
+    (no_rainbow_cycle, 0, 300),
     (lambda g: class_colouring(g, 0.1, 1), 1, 500),
 ], ids=["no-rainbow-cycle", "formerly-500-steps"])
 def test_no_run_of_switch_steps_outlasts_the_stall_limit(chi_for, seed, max_steps):
-    # few_colours leaves K12 no rainbow cycle, so that search stalls again
+    # no_rainbow_cycle leaves K12 no rainbow cycle, so that search stalls again
     # and again.  The other search sits at one conflict until a stall
     # redraws its cycle, and then succeeds.
     g = Hypergraph.complete(12, 3)
@@ -370,5 +414,5 @@ def test_no_run_of_switch_steps_outlasts_the_stall_limit(chi_for, seed, max_step
             assert runs[i - 1] == search.STALL_STEPS
     stalls = sum(1 for entry in steps if entry.get("reason") == "stalled")
     assert stalls == result.restarts >= 1
-    assert result.success == (chi_for is not few_colours)
+    assert result.success == (chi_for is not no_rainbow_cycle)
     assert result.conflicts == len(find_conflicts(result.cycle, chi, 1))
