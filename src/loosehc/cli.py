@@ -115,6 +115,8 @@ def _load_pairs(path: str) -> list[tuple[int, ...]]:
     for lineno, row in data_lines(Path(path).read_text()):
         if len(row) != 2:
             raise FormatError(lineno, f"expected two vertices, got {len(row)}")
+        if row[0] == row[1]:
+            raise FormatError(lineno, f"a pair needs two distinct vertices, got {row[0]} twice")
         rows.append(row)
     return rows
 

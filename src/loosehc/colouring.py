@@ -49,10 +49,11 @@ class Colouring:
     that holds its largest id (typecode B, H, I or Q), so most colourings
     take one byte an edge.  The colour of an edge e is
     assignment[graph.edge_index[e]], so every colouring of a host shares
-    the host's one index.  The width follows from the ids, so equal
-    colourings hold equal bytes, and hashing reads those bytes.  The class
-    sizes are derived once and cached for check_global_bound and the CLI's
-    construct command.
+    the host's one index.  colours() is the one lookup that reads it, so
+    no other module knows this layout.  The width follows from the ids, so
+    equal colourings hold equal bytes, and hashing reads those bytes.  The
+    class sizes are derived once and cached for check_global_bound and the
+    CLI's construct command.
     """
 
     graph: Hypergraph
@@ -79,12 +80,25 @@ class Colouring:
     def class_sizes(self) -> dict[int, int]:
         return dict(Counter(self.assignment))
 
-    def colour(self, edge: Iterable[int]) -> int:
-        e = tuple(sorted(edge))
+    def colours(self, edges: Iterable[tuple[int, ...]]) -> list[int]:
+        """The colours of the given host edges, sorted k-tuples, in order.
+
+        The host's own edges tuple is read in order with no lookups.  An
+        edge the host does not hold raises InvalidInput naming it.
+        """
+        if edges is self.graph.edges:
+            return self.assignment.tolist()
+        index, assignment = self.graph.edge_index, self.assignment
         try:
-            return self.assignment[self.graph.edge_index[e]]
-        except KeyError:
-            raise InvalidInput(f"edge {e} is not in the coloured hypergraph")
+            return [assignment[index[e]] for e in edges]
+        except KeyError as missing:
+            raise InvalidInput(
+                f"edge {missing.args[0]} is not in the coloured hypergraph"
+            ) from None
+
+    def colour(self, edge: Iterable[int]) -> int:
+        """The colour of one host edge, its vertices in any order."""
+        return self.colours((tuple(sorted(edge)),))[0]
 
     @classmethod
     def injective(cls, graph: Hypergraph) -> "Colouring":
@@ -137,13 +151,8 @@ def has_fewer_colours(chi: Colouring, count: int) -> bool:
 
 def is_rainbow(chi: Colouring, edges: Iterable[Iterable[int]]) -> bool:
     """True iff all the given edges have pairwise distinct colours."""
-    seen: set[int] = set()
-    for e in edges:
-        c = chi.colour(e)
-        if c in seen:
-            return False
-        seen.add(c)
-    return True
+    colours = chi.colours([tuple(sorted(e)) for e in edges])
+    return len(set(colours)) == len(colours)
 
 
 def shares_colour(
@@ -152,14 +161,14 @@ def shares_colour(
     second: Iterable[Iterable[int]],
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All pairs (e, f) with e in first, f in second, e != f, same colour."""
+    second = [tuple(sorted(f)) for f in second]
     second_by_colour: dict[int, list[tuple[int, ...]]] = {}
-    for f in second:
-        f = tuple(sorted(f))
-        second_by_colour.setdefault(chi.colour(f), []).append(f)
+    for f, c in zip(second, chi.colours(second)):
+        second_by_colour.setdefault(c, []).append(f)
+    first = [tuple(sorted(e)) for e in first]
     conflicts = []
-    for e in first:
-        e = tuple(sorted(e))
-        for f in second_by_colour.get(chi.colour(e), ()):
+    for e, c in zip(first, chi.colours(first)):
+        for f in second_by_colour.get(c, ()):
             if e != f:
                 conflicts.append((e, f))
     return conflicts

@@ -107,6 +107,8 @@ class LooseCycle:
 
     def __post_init__(self) -> None:
         n, k = len(self.vertices), self.k
+        if k < 2:
+            raise InvalidInput("uniformity must be >= 2")
         if n % (k - 1) != 0:
             raise InvalidInput(f"(k-1) = {k - 1} does not divide n = {n}")
         if n // (k - 1) < 3:
@@ -148,10 +150,6 @@ class LooseCycle:
     @cached_property
     def edge_position(self) -> dict[tuple[int, ...], int]:
         return {e: i for i, e in enumerate(self.edge_sequence)}
-
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.edge_sequence)
 
     @cached_property
     def positions_by_vertex(self) -> dict[int, tuple[int, ...]]:

@@ -6,6 +6,8 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
+from .hypergraph import InvalidInput
+
 
 @dataclass(frozen=True)
 class Digraph:
@@ -15,7 +17,7 @@ class Digraph:
     def __post_init__(self) -> None:
         for u, v in self.arcs:
             if u == v or not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"bad arc ({u}, {v})")
+                raise InvalidInput(f"bad arc ({u}, {v})")
 
     @cached_property
     def out_neighbours(self) -> tuple[tuple[int, ...], ...]:
@@ -38,7 +40,7 @@ class PairGraph:
     def __post_init__(self) -> None:
         for u, v in self.edges:
             if u >= v:
-                raise ValueError(f"pair ({u}, {v}) must be sorted and distinct")
+                raise InvalidInput(f"pair ({u}, {v}) must be sorted and distinct")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Iterable[int]]) -> "PairGraph":

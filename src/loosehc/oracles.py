@@ -181,7 +181,7 @@ def exists_rainbow_loose_hc(
     """First rainbow loose Hamilton cycle in enumeration order, if any."""
     clock = _BudgetClock(budget or EnumerationBudget())
     # A plain dict for the search, which reads a colour at every node.
-    colour_of = dict(zip(chi.graph.edges, chi.assignment))
+    colour_of = dict(zip(g.edges, chi.colours(g.edges)))
     for walk in _cycle_walks(g, clock, colour_of):
         return RainbowSearchResult("found", LooseCycle._from_canonical(walk, g.k))
     return RainbowSearchResult("unknown" if clock.exhausted else "absent")
@@ -229,15 +229,15 @@ def find_tight_hamilton_cycle(
     rainbow = chi is not None
     # Each of the n windows takes a new colour, so fewer colours leave none.
     if rainbow:
-        index, assignment = chi.graph.edge_index, chi.assignment
-        if len({assignment[index[e]] for e in g.edges}) < n:
+        colour_of = dict(zip(g.edges, chi.colours(g.edges)))
+        if len(set(colour_of.values())) < n:
             return None
     # third[a][b]: (c, colour of {a, b, c}) for every edge {a, b, c}, by c.
     third: list[list[list[tuple[int, int | None]]]] = [
         [[] for _ in range(n)] for _ in range(n)
     ]
     for e in g.edges:
-        colour = assignment[index[e]] if rainbow else None
+        colour = colour_of[e] if rainbow else None
         for a, b, c in permutations(e):
             third[a][b].append((c, colour))
     for row in third:
@@ -252,7 +252,7 @@ def find_tight_hamilton_cycle(
             if not g.contains(window):
                 return False
             if rainbow:
-                c = assignment[index[tuple(sorted(window))]]
+                c = colour_of[tuple(sorted(window))]
                 if c in colours or c in closing:
                     return False
                 closing.append(c)

@@ -69,6 +69,19 @@ def vertices_close(cycle: LooseCycle, u: int, v: int, path_len: int) -> bool:
     return False
 
 
+def _anchor_start(cycle: LooseCycle, anchor: LoosePath, path_len: int) -> int:
+    """The cycle position of the anchor's first edge.  No splitting holds
+    an anchor that is not a sub-path of the cycle with path_len edges, so
+    such an anchor raises InvalidInput."""
+    run = subpath_run(cycle, anchor)
+    if run is None or anchor.length != path_len:
+        vertices = " ".join(map(str, anchor.vertices))
+        raise InvalidInput(
+            f"anchor {vertices} is not a sub-path of the cycle with {path_len} edges"
+        )
+    return run[0]
+
+
 @dataclass(frozen=True)
 class SampledSplitting:
     """An anchored path plus the edge sample its other paths grow from.
@@ -95,8 +108,7 @@ class SampledSplitting:
         """All paths with the anchor at index 0 and the rest following the
         host's cyclic order from the anchor's position.  (The rerouting
         machinery reads index i+1 as "the next path around the cycle".)"""
-        run = subpath_run(self.cycle, self.anchor)
-        start = run[0] if run is not None else 0
+        start = subpath_run(self.cycle, self.anchor)[0]
         c = self.cycle.edge_count
         order = sorted(
             range(len(self.sampled_positions)),
@@ -140,9 +152,9 @@ def sample_splitting(
     of at least one edge, one after each path, the anchor's first.  The
     gaps are a uniform composition, drawn as path_count - 1 cut points among
     its c - path_count*path_len - 1 interior slots, and path i starts
-    cut_i + i*path_len edges after the anchor's start (position 0 for an
-    anchor off the cycle, which validate_splitting then rejects).  A host
-    too small for any such splitting raises host-too-small.
+    cut_i + i*path_len edges after the anchor's start.  A host too small
+    for any such splitting raises host-too-small.  An anchor that is not a
+    sub-path of the cycle with path_len edges is refused before any draw.
     """
     n, k = cycle.n, cycle.k
     p = (path_count - 1) * (k - 1) / n
@@ -151,13 +163,12 @@ def sample_splitting(
     c = cycle.edge_count
     if not 1 <= path_len <= c:
         raise InvalidInput(f"path length must lie in [1, {c}], got {path_len}")
+    start = _anchor_start(cycle, anchor, path_len)
     gen = stream(seed, "edge-sample", trial)
     if exact_size:
         refusal = host_too_small(c, path_count, path_len)
         if refusal is not None:
             raise refusal
-        run = subpath_run(cycle, anchor)
-        start = run[0] if run is not None else 0
         slots = c - path_count * path_len - 1
         cuts = sorted(gen.choice(slots, path_count - 1, replace=False, shuffle=False) + 1)
         positions = tuple(sorted(
@@ -215,8 +226,7 @@ def check_events(
     sampled_set = sample.sampled_vertices
     sampled = sorted(sampled_set)
     everything = sorted(sample.vertices)
-    index, colours = chi.graph.edge_index, chi.assignment
-    host_colours = {colours[index[e]] for e in cycle.edge_sequence}
+    host_colours = set(chi.colours(cycle.edge_sequence))
 
     closeness: dict[tuple[int, int], bool] = {}
 
@@ -230,8 +240,7 @@ def check_events(
     induced = edges_within(g, everything)
     heavy_sets: list[tuple[int, ...]] = []
     inside: list[tuple[tuple[int, ...], int]] = []
-    for e in induced:
-        colour = colours[index[e]]
+    for e, colour in zip(induced, chi.colours(induced)):
         if colour in host_colours:
             heavy_sets.extend(s for s in combinations(e, k - 1) if sampled_set.issuperset(s))
         if sampled_set.issuperset(e):
@@ -630,7 +639,8 @@ def estimate_suitable_fraction(
     chunks of 64, so at most ceil(trials / 64) of them are started, and
     none when that is one.  Every trial runs the event gate, so the trials
     run under config with require_events set, and before the first draw it
-    raises what that config's refusal returns.
+    raises what that config's refusal returns, or the refusal of an anchor
+    that is not a sub-path of the cycle with params.path_len edges.
     """
     if trials < 1:
         raise InvalidInput("need at least one trial")
@@ -638,6 +648,7 @@ def estimate_suitable_fraction(
     refusal = config.refusal(g, params)
     if refusal is not None:
         raise refusal
+    _anchor_start(cycle, anchor, params.path_len)
     args = [(g, chi, cycle, anchor, params, config, trial) for trial in range(trials)]
     chunk = 64
     workers = min(jobs, -(-trials // chunk))

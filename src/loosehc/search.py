@@ -51,10 +51,9 @@ def find_conflicts(cycle: LooseCycle, chi: Colouring, path_len: int) -> list[Con
     The covering path starts at the first edge and also covers the second
     when the pair fits within one anchored path.
     """
-    index, colours = chi.graph.edge_index, chi.assignment
     positions_by_colour: dict[int, list[int]] = {}
-    for pos, e in enumerate(cycle.edge_sequence):
-        positions_by_colour.setdefault(colours[index[e]], []).append(pos)
+    for pos, colour in enumerate(chi.colours(cycle.edge_sequence)):
+        positions_by_colour.setdefault(colour, []).append(pos)
     c = cycle.edge_count
     conflicts = []
     for colour, positions in positions_by_colour.items():

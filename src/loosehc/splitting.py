@@ -164,7 +164,7 @@ def validate_splitting(
                 "length", f"path {i} has length {p.length} > bound {length}", position=i
             )
         for e in p.edges:
-            if e not in host.edge_set:
+            if e not in host.edge_position:
                 return Violation(
                     "non-subpath", f"path {i} uses {e}, not an edge of the host", position=i
                 )
@@ -353,8 +353,7 @@ def is_switching(
         shape_ok = False
         detail.append(f"new splitting: {check_new}")
     if graph is not None:
-        index = graph.edge_index
-        missing = [e for e in new_cycle.edge_sequence if e not in index]
+        missing = [e for e in new_cycle.edge_sequence if not graph.contains(e)]
         if missing or new_cycle.n != graph.n:
             shape_ok = False
             detail.append(f"new cycle is not a Hamilton cycle of the graph: {missing[:3]}")
@@ -441,9 +440,12 @@ def is_suitable(
     conditions: dict[str, bool] = {}
     witnesses: dict[str, object] = {}
 
-    index, colours = chi.graph.edge_index, chi.assignment
-    host_colours = {colours[index[e]] for e in splitting.host.edge_sequence}
+    host_colours = set(chi.colours(splitting.host.edge_sequence))
     split_vertices = sorted(splitting.vertex_set)
+    inside = edges_within(g, split_vertices)
+    repeats = {
+        e for e, colour in zip(inside, chi.colours(inside)) if colour in host_colours
+    }
     other_paths = [i for i in range(m) if i != anchor_index]
     allowance = epsilon * m / 4
 
@@ -452,10 +454,7 @@ def is_suitable(
         s_set = set(s)
         count = 0
         for v in split_vertices:
-            if v in s_set:
-                continue
-            position = index.get(tuple(sorted((*s, v))))
-            if position is not None and colours[position] in host_colours:
+            if v not in s_set and tuple(sorted((*s, v))) in repeats:
                 count += 1
         if count > allowance:
             conditions["heavy-colour-set"] = False
@@ -464,8 +463,9 @@ def is_suitable(
 
     outside = splitting.vertex_set - anchor.vertex_set
     by_colour: dict[int, list[tuple[int, ...]]] = {}
-    for e in edges_within(g, outside):
-        by_colour.setdefault(colours[index[e]], []).append(e)
+    outside_edges = edges_within(g, outside)
+    for e, colour in zip(outside_edges, chi.colours(outside_edges)):
+        by_colour.setdefault(colour, []).append(e)
 
     conditions["adjacent-repeat"] = True
     conditions["disjoint-repeat-support"] = True

@@ -104,13 +104,11 @@ def _filtered_part_edges(
 ) -> list[tuple[int, ...]]:
     """Edges of g inside the part, minus those avoiding the anchor's vertex
     that repeat a host colour."""
-    index, colours = chi.graph.edge_index, chi.assignment
-    kept = []
-    for e in edges_within(g, part):
-        if anchor_vertex not in e and colours[index[e]] in host_colours:
-            continue
-        kept.append(e)
-    return kept
+    edges = edges_within(g, part)
+    return [
+        e for e, colour in zip(edges, chi.colours(edges))
+        if anchor_vertex in e or colour not in host_colours
+    ]
 
 
 def _assemble_cycle(
@@ -194,8 +192,7 @@ def build_feasible_switching(
         raise InvalidInput("rerouting does not meet the per-part pair quota")
 
     labels = part_labels(splitting, partition)
-    index, colours = chi.graph.edge_index, chi.assignment
-    host_colours = {colours[index[e]] for e in host.edge_sequence}
+    host_colours = set(chi.colours(host.edge_sequence))
 
     new_paths: list[LoosePath] = []
     trimmed: list[list[tuple[int, ...]]] = []
@@ -235,7 +232,7 @@ def build_feasible_switching(
             e for p in part_paths for e in p.edges if anchor_vertex not in e
         ]
         # The filter guarantees trimmed edges never repeat a host colour.
-        assert all(colours[index[e]] not in host_colours for e in edges_here)
+        assert host_colours.isdisjoint(chi.colours(edges_here))
         trimmed.append(edges_here)
 
     # is_switching validates the new splitting ("shape") and compares the
@@ -275,7 +272,9 @@ def sample_switching(
 
     Returns None when the budgets run out; the caller decides what that
     means (the whole pipeline is a heuristic at desk scale).  Before the
-    first draw it raises what config.refusal returns.
+    first draw it raises what config.refusal returns, and sample_splitting
+    refuses an anchor that is not a sub-path of the host with
+    params.path_len edges.
     """
     config = config or PipelineConfig()
     refusal = config.refusal(g, params)

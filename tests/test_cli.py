@@ -22,6 +22,7 @@ def files(tmp_path):
     (tmp_path / "g.hg").write_text(format_hypergraph(g))
     (tmp_path / "g.col").write_text(format_colouring(Colouring.injective(g)))
     (tmp_path / "cycle.txt").write_text(format_vertex_line(range(12)) + "\n")
+    (tmp_path / "pairs.txt").write_text("0 11\n")
     return tmp_path
 
 
@@ -210,6 +211,26 @@ def test_estimate_refuses_a_host_too_small(tmp_path, capsys):
     assert code == 2 and records == []
     assert ("error: host-too-small: 3 disjoint paths of 1 edges need 6 cycle edges, "
             "the host has 5\n") in err
+
+
+@pytest.mark.parametrize("command", [
+    ["switch", "--sample"], ["estimate", "--trials", 200], ["sample", "--trials", 5],
+], ids=["switch", "estimate", "sample"])
+def test_an_anchor_off_the_cycle_exits_2(tmp_path, capsys, command):
+    # No splitting holds the anchor: switch --sample would spend its whole
+    # trial budget and estimate would read rate 0, so both refuse it first.
+    chi = first_prefix_colouring(12, 3)
+    (tmp_path / "g.hg").write_text(format_hypergraph(chi.graph))
+    (tmp_path / "g.col").write_text(format_colouring(chi))
+    (tmp_path / "cycle.txt").write_text(format_vertex_line(range(12)) + "\n")
+    code, records, err = run(
+        capsys, *command,
+        "--hg", tmp_path / "g.hg", "--col", tmp_path / "g.col",
+        "--cycle", tmp_path / "cycle.txt", "--p0", "0 5 7",
+        "--seed", 1, "--t", 1, "--mtilde", 1,
+    )
+    assert code == 2 and records == []
+    assert "error: anchor 0 5 7 is not a sub-path of the cycle with 1 edges\n" in err
 
 
 def test_switch_explicit_files(files, capsys):
@@ -575,7 +596,12 @@ def test_commented_cycle_and_anchor_files_load(files, capsys):
      "0\n1 2\n", "line 2: expected one colour, got 2"),
     (["tile", "--hg", "g.hg", "--pairs", "bad.txt", "--t", 1, "--seed", 1],
      "0 1\n\n2 3 4\n", "line 3: expected two vertices, got 3"),
-], ids=["cycle", "anchor", "colouring", "pairs"])
+    (["ham-path", "--hg", "g.hg", "--a", 0, "--b", 1, "--forbid", "bad.txt"],
+     "0 1\n3 3\n", "line 2: a pair needs two distinct vertices, got 3 twice"),
+    (["tile", "--hg", "g.hg", "--pairs", "pairs.txt", "--conflicts", "bad.txt", "--t", 1,
+      "--seed", 1],
+     "# conflicts\n3 3\n", "line 2: a pair needs two distinct vertices, got 3 twice"),
+], ids=["cycle", "anchor", "colouring", "pairs", "forbid-loop", "conflict-loop"])
 def test_bad_input_lines_exit_2_naming_the_line(files, capsys, monkeypatch, argv, text, message):
     monkeypatch.chdir(files)
     (files / "bad.txt").write_text(text)

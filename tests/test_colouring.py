@@ -150,6 +150,18 @@ def test_colours_follow_the_file_order_of_a_parsed_host():
     assert parse_colouring(format_colouring(chi), g) == chi
 
 
+def test_colours_reads_the_given_edges_in_order():
+    g = parse_hypergraph("3 7\n4 5 6\n0 1 2\n2 3 4\n0 5 6\n1 3 5\n")
+    chi = Colouring(g, (4, 0, 3, 1, 0))
+    assert chi.colours(g.edges) == [4, 0, 3, 1, 0]
+    assert chi.colours(list(g.edges)) == [4, 0, 3, 1, 0]
+    assert chi.colours([(1, 3, 5), (0, 1, 2), (1, 3, 5)]) == [0, 0, 0]
+    assert chi.colours(e for e in reversed(g.edges)) == [0, 1, 3, 0, 4]
+    assert chi.colours(()) == []
+    with pytest.raises(InvalidInput, match=r"^edge \(0, 1, 3\) is not in the coloured hypergraph$"):
+        chi.colours([(0, 1, 2), (0, 1, 3)])
+
+
 @pytest.mark.parametrize("top, typecode", [
     (255, "B"), (256, "H"), (65535, "H"), (65536, "I"),
     (2**32 - 1, "I"), (2**32, "Q"), (2**64 - 1, "Q"),

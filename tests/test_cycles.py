@@ -50,6 +50,12 @@ def test_validate_loose_cycle_divisibility():
     assert result.kind == "divisibility"
 
 
+@pytest.mark.parametrize("k", [1, 0, -1])
+def test_loose_cycle_refuses_uniformity_below_2(k):
+    with pytest.raises(InvalidInput, match="^uniformity must be >= 2$"):
+        LooseCycle(tuple(range(6)), k)
+
+
 def test_validate_loose_cycle_repeats():
     result = validate_loose_cycle(h8_graph(), [0, 1, 2, 3, 4, 5, 6, 6])
     assert isinstance(result, Violation)

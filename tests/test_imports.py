@@ -1,7 +1,9 @@
-"""Every module of the package declares its imports at the top: none
-imports inside a function body."""
+"""Rules over the package's source: every module declares its imports at
+the top, none inside a function body, and only colouring.py and
+hypergraph.py know how colours are stored."""
 
 import ast
+import re
 from pathlib import Path
 
 import loosehc
@@ -32,3 +34,16 @@ def test_no_function_local_imports():
         if (lines := function_local_imports(path.read_text()))
     }
     assert offenders == {}
+
+
+def test_only_the_colouring_and_the_host_know_how_colours_are_stored():
+    # Every other module reads colours through Colouring.colours, so a new
+    # representation edits colouring.py and hypergraph.py alone.
+    package = Path(loosehc.__file__).parent
+    stored = re.compile(r"edge_index|\.assignment")
+    offenders = sorted(
+        path.name for path in package.glob("*.py")
+        if path.name not in ("colouring.py", "hypergraph.py")
+        and stored.search(path.read_text())
+    )
+    assert offenders == []

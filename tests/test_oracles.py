@@ -145,6 +145,15 @@ def test_exists_rainbow_loose_hc():
     assert isinstance(validate_loose_cycle(g, result.witness.vertices), LooseCycle)
 
 
+@pytest.mark.parametrize("oracle", [exists_rainbow_loose_hc, exists_rainbow_tight_hc],
+                         ids=["loose", "tight"])
+def test_rainbow_oracles_name_an_edge_the_colouring_lacks(oracle):
+    g = Hypergraph.complete(6, 3)
+    h = Hypergraph(6, 3, g.edges[1:])
+    with pytest.raises(InvalidInput, match=r"^edge \(0, 1, 2\) is not in the coloured hypergraph$"):
+        oracle(g, Colouring.injective(h))
+
+
 def test_exists_rainbow_loose_hc_budget_unknown():
     # The injective colouring has a rainbow cycle, first reached at the
     # third node: a budget that runs out before it answers unknown.

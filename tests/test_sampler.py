@@ -9,7 +9,7 @@ import pytest
 
 from loosehc import sampler, switchbuild
 from loosehc.colouring import Colouring
-from loosehc.cycles import LooseCycle, increasing_path, validate_loose_cycle
+from loosehc.cycles import LooseCycle, LoosePath, increasing_path, validate_loose_cycle
 from loosehc.hypergraph import (
     Hypergraph,
     InvalidInput,
@@ -266,6 +266,58 @@ def test_estimate_refuses_a_host_too_small(monkeypatch):
         "host-too-small: 3 disjoint paths of 1 edges need 6 cycle edges, the host has 5"
     )
     assert keys == []
+
+
+# (0, 5, 7) is no edge of the cycle 0 1 ... 11; 0 1 2 3 4 is a path of its
+# two edges (0, 1, 2) and (2, 3, 4), one more than path_len.
+OFF_CYCLE_ANCHORS = pytest.mark.parametrize("vertices, message", [
+    ((0, 5, 7), "anchor 0 5 7 is not a sub-path of the cycle with 1 edges"),
+    ((0, 1, 2, 3, 4), "anchor 0 1 2 3 4 is not a sub-path of the cycle with 1 edges"),
+], ids=["off-cycle", "too-long"])
+
+
+@OFF_CYCLE_ANCHORS
+@pytest.mark.parametrize("exact_size", [False, True], ids=["bernoulli", "exact-size"])
+def test_sample_splitting_refuses_an_anchor_off_the_cycle(monkeypatch, vertices, message,
+                                                          exact_size):
+    _, cycle = complete_cycle(12)
+    keys = []
+    monkeypatch.setattr(sampler, "stream", lambda *key: keys.append(key))
+    with pytest.raises(InvalidInput) as err:
+        sample_splitting(cycle, LoosePath(vertices, 3), 3, 1, seed=0, exact_size=exact_size)
+    assert str(err.value) == message
+    assert keys == []
+
+
+@OFF_CYCLE_ANCHORS
+def test_estimate_refuses_an_anchor_off_the_cycle_before_any_worker(monkeypatch, vertices,
+                                                                    message):
+    # Every sample would fail validate_splitting, so the estimate would
+    # read 0.0 after running all its trials.
+    g, cycle = complete_cycle(12)
+
+    def no_worker(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    keys = []
+    monkeypatch.setattr(sampler, "stream", lambda *key: keys.append(key))
+    monkeypatch.setattr(sampler, "ProcessPoolExecutor", no_worker)
+    with pytest.raises(InvalidInput) as err:
+        estimate_suitable_fraction(g, Colouring.injective(g), cycle, LoosePath(vertices, 3),
+                                   desk_params(), 200, PipelineConfig(seed=1), jobs=2)
+    assert str(err.value) == message
+    assert keys == []
+
+
+def test_check_events_names_an_edge_the_colouring_lacks():
+    # (0, 1, 6) lies inside the anchor (0, 1, 2) and the sampled path
+    # (6, 7, 8), but not on the cycle, and the colouring's host lacks it.
+    g, cycle = complete_cycle(12)
+    h = Hypergraph(12, 3, tuple(e for e in g.edges if e != (0, 1, 6)))
+    anchor = increasing_path(cycle, (0, 1, 2), 1)
+    s = replace(sample_splitting(cycle, anchor, 3, 1, seed=0), sampled_positions=(3,))
+    with pytest.raises(InvalidInput, match=r"^edge \(0, 1, 6\) is not in the coloured hypergraph$"):
+        check_events(s, g, Colouring.injective(h), epsilon=0.2, path_count=3)
 
 
 def test_check_events_injective_never_fires_colour_pairs():
