@@ -4,10 +4,9 @@ from array import array
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .hypergraph import FormatError, Hypergraph, InvalidInput, data_lines
+from .hypergraph import FormatError, Hypergraph, InvalidInput, cached_property, data_lines
 
 
 def _pack(ids) -> array:

@@ -8,10 +8,9 @@ cycle counting and deduplication well-defined.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
-from .hypergraph import Hypergraph, InvalidInput, data_lines
+from .hypergraph import Hypergraph, InvalidInput, cached_property, data_lines
 
 
 @dataclass(frozen=True)

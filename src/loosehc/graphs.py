@@ -2,11 +2,10 @@
 and plain graphs used as conflict constraints."""
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
-from .hypergraph import InvalidInput
+from .hypergraph import InvalidInput, cached_property
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,37 @@ immutable after construction.
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
+from operator import index as as_index
 from typing import Iterable, Iterator
+
+import numpy as np
 
 
 class InvalidInput(ValueError):
     """A caller violated a documented precondition."""
+
+
+class cached_property:
+    """functools.cached_property without its lock: the first read of the
+    attribute computes it and stores it in the instance's __dict__, where
+    every later read finds it before this descriptor.  Before Python 3.12
+    the stdlib version takes an RLock on each first read.  Frozen
+    dataclasses can use it, since the value bypasses __setattr__."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -23,8 +46,10 @@ class Hypergraph:
     pairing a colouring file with an edge file).
 
     edge_index maps each edge to its position in edges.  It is the host's
-    one membership index, built by the duplicate-edge check, and every
-    colouring of the host reads its colours through it.
+    one membership index, and every colouring of the host reads its colours
+    through it.  Every edge is checked to be a strictly ascending k-tuple
+    of vertices in [0, n), and no edge may repeat; see _bulk_index.  Only
+    relabelled builds a host without the checks.
     """
 
     n: int
@@ -37,17 +62,9 @@ class Hypergraph:
             raise InvalidInput(f"uniformity must be >= 2, got {self.k}")
         if self.n < 0:
             raise InvalidInput(f"vertex count must be >= 0, got {self.n}")
-        index: dict[tuple[int, ...], int] = {}
-        for position, e in enumerate(self.edges):
-            if len(e) != self.k or len(set(e)) != self.k:
-                raise InvalidInput(f"edge {e} does not have {self.k} distinct vertices")
-            if list(e) != sorted(e):
-                raise InvalidInput(f"edge {e} is not sorted")
-            if e[0] < 0 or e[-1] >= self.n:
-                raise InvalidInput(f"edge {e} has a vertex outside [0, {self.n})")
-            if e in index:
-                raise InvalidInput(f"duplicate edge {e}")
-            index[e] = position
+        index = _bulk_index(self.edges, self.n, self.k)
+        if index is None:
+            index = _index_edge_by_edge(self.edges, self.n, self.k)
         object.__setattr__(self, "edge_index", index)
 
     @cached_property
@@ -69,7 +86,12 @@ class Hypergraph:
         return tuple(tuple(b) for b in buckets)
 
     def contains(self, vertices: Iterable[int]) -> bool:
-        return tuple(sorted(vertices)) in self.edge_index
+        """Whether the vertices form an edge, in any order.  A tuple is
+        looked up as given first: an edge tuple is already sorted."""
+        index = self.edge_index
+        return (isinstance(vertices, tuple) and vertices in index) or (
+            tuple(sorted(vertices)) in index
+        )
 
     def is_complete(self) -> bool:
         return len(self.edges) == comb(self.n, self.k)
@@ -81,6 +103,80 @@ class Hypergraph:
     @classmethod
     def complete(cls, n: int, k: int) -> "Hypergraph":
         return cls(n, k, tuple(combinations(range(n), k)))
+
+
+def _bulk_index(
+    edges: tuple[tuple[int, ...], ...], n: int, k: int
+) -> dict[tuple[int, ...], int] | None:
+    """The edge index, when every edge passes the host's checks in bulk;
+    None when any check fails or raises.
+
+    The index finds a repeated edge by its size.  The vertices go through
+    operator.index into one m-by-k array of the narrowest signed type that
+    holds -n, so every vertex in [0, n) fits (past 64 bits the array holds
+    Python ints).  A vertex that is not an integer raises instead of being
+    converted, and one the type cannot hold raises OverflowError.  The
+    array's rows must be strictly ascending, with the first column at least
+    0 and the last below n.
+    """
+    try:
+        m = len(edges)
+        index = dict(zip(edges, range(m)))
+        if len(index) != m or not set(map(len, edges)) <= {k}:
+            return None
+        dtype = np.min_scalar_type(-as_index(n))
+        a = np.fromiter(
+            map(as_index, chain.from_iterable(edges)), dtype, count=m * k
+        ).reshape(m, k)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if m and not (
+        (a[:, 1:] > a[:, :-1]).all() and a[:, 0].min() >= 0 and a[:, -1].max() < n
+    ):
+        return None
+    return index
+
+
+def _index_edge_by_edge(
+    edges: tuple[tuple[int, ...], ...], n: int, k: int
+) -> dict[tuple[int, ...], int]:
+    """The edge index, built by checking one edge at a time: the first bad
+    edge raises, named in the message.  It reads edges that _bulk_index
+    refused, so every bad host is refused with the same error as ever."""
+    index: dict[tuple[int, ...], int] = {}
+    for position, e in enumerate(edges):
+        if len(e) != k or len(set(e)) != k:
+            raise InvalidInput(f"edge {e} does not have {k} distinct vertices")
+        if list(e) != sorted(e):
+            raise InvalidInput(f"edge {e} is not sorted")
+        if e[0] < 0 or e[-1] >= n:
+            raise InvalidInput(f"edge {e} has a vertex outside [0, {n})")
+        if e in index:
+            raise InvalidInput(f"duplicate edge {e}")
+        index[e] = position
+    return index
+
+
+def relabelled(
+    g: Hypergraph, old_ids: tuple[int, ...], edges: Iterable[tuple[int, ...]]
+) -> Hypergraph:
+    """The host on len(old_ids) vertices whose edges are the given edges of
+    g, each vertex renamed to its rank in old_ids, built without the
+    host's checks.
+
+    old_ids must be strictly ascending and hold every vertex of the edges,
+    which must be distinct edges of g.  The renaming then preserves order,
+    so each new edge stays a strictly ascending k-tuple inside the new
+    range, and distinct edges stay distinct: everything the checks test.
+    """
+    to_new = {v: i for i, v in enumerate(old_ids)}
+    new_edges = tuple(tuple(to_new[v] for v in e) for e in edges)
+    sub = object.__new__(Hypergraph)
+    object.__setattr__(sub, "n", len(old_ids))
+    object.__setattr__(sub, "k", g.k)
+    object.__setattr__(sub, "edges", new_edges)
+    object.__setattr__(sub, "edge_index", dict(zip(new_edges, range(len(new_edges)))))
+    return sub
 
 
 def _check_vertex_set(g: Hypergraph, s: Iterable[int], name: str) -> frozenset[int]:
@@ -149,11 +245,7 @@ def induced(g: Hypergraph, w: Iterable[int]) -> tuple[Hypergraph, tuple[int, ...
     Returns (subgraph, old_ids) where old_ids[new] is the original vertex id.
     """
     old_ids = tuple(sorted(_check_vertex_set(g, w, "W")))
-    to_new = {v: i for i, v in enumerate(old_ids)}
-    sub_edges = tuple(
-        tuple(to_new[v] for v in e) for e in edges_within(g, old_ids)
-    )
-    return Hypergraph(len(old_ids), g.k, sub_edges), old_ids
+    return relabelled(g, old_ids, edges_within(g, old_ids)), old_ids
 
 
 def min_j_degree_within(g: Hypergraph, w: Iterable[int], j: int) -> int:

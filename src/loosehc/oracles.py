@@ -249,10 +249,11 @@ def find_tight_hamilton_cycle(
             return False
         closing: list[int] = []
         for window in ((order[-2], order[-1], order[0]), (order[-1], order[0], order[1])):
-            if not g.contains(window):
+            edge = tuple(sorted(window))
+            if not g.contains(edge):
                 return False
             if rainbow:
-                c = colour_of[tuple(sorted(window))]
+                c = colour_of[edge]
                 if c in colours or c in closing:
                     return False
                 closing.append(c)

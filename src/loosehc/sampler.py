@@ -11,7 +11,6 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, combinations, repeat
 from math import comb, sqrt
 
@@ -25,6 +24,7 @@ from .hypergraph import (
     InvalidInput,
     Parameters,
     PipelineConfig,
+    cached_property,
     edges_within,
     host_too_small,
     relative_degree,
@@ -94,6 +94,7 @@ class SampledSplitting:
     anchor: LoosePath
     sampled_positions: tuple[int, ...]
     path_len: int
+    anchor_start: int  # cycle position of the anchor's first edge
 
     @cached_property
     def paths(self) -> tuple[LoosePath, ...]:
@@ -108,8 +109,7 @@ class SampledSplitting:
         """All paths with the anchor at index 0 and the rest following the
         host's cyclic order from the anchor's position.  (The rerouting
         machinery reads index i+1 as "the next path around the cycle".)"""
-        start = subpath_run(self.cycle, self.anchor)[0]
-        c = self.cycle.edge_count
+        start, c = self.anchor_start, self.cycle.edge_count
         order = sorted(
             range(len(self.sampled_positions)),
             key=lambda i: (self.sampled_positions[i] - start) % c,
@@ -176,7 +176,7 @@ def sample_splitting(
         ))
     else:
         positions = tuple(np.flatnonzero(gen.random(c) < p).tolist())
-    return SampledSplitting(cycle, anchor, positions, path_len)
+    return SampledSplitting(cycle, anchor, positions, path_len, start)
 
 
 @dataclass

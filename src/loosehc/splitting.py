@@ -7,14 +7,19 @@ beats speed; nothing here samples.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .colouring import Colouring, is_rainbow, shares_colour
 from .cycles import LooseCycle, LoosePath, Violation, entry_exit, subpath_run
 from .graphs import Digraph
-from .hypergraph import Hypergraph, InvalidInput, edges_within, min_j_degree_within
+from .hypergraph import (
+    Hypergraph,
+    InvalidInput,
+    cached_property,
+    edges_within,
+    min_j_degree_within,
+)
 from .oracles import find_hamilton_dicycle
 
 

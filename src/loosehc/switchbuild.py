@@ -25,6 +25,7 @@ from .hypergraph import (
     Parameters,
     PipelineConfig,
     edges_within,
+    relabelled,
 )
 from .rng import child_seed
 from .sampler import (
@@ -204,11 +205,8 @@ def build_feasible_switching(
 
         old_ids = tuple(sorted(part))
         to_new = {v: i for i, v in enumerate(old_ids)}
-        sub = Hypergraph(len(old_ids), g.k, tuple(
-            tuple(to_new[v] for v in e) for e in kept
-        ))
         request = TilingRequest(
-            sub,
+            relabelled(g, old_ids, kept),
             tuple(tuple(sorted((to_new[a], to_new[b]))) for a, b in pairs_by_part[h]),
             PairGraph.from_pairs((to_new[u], to_new[v]) for u, v in conflict.edges),
             t,

@@ -1,5 +1,7 @@
-from itertools import combinations
+from itertools import combinations, permutations
+from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,8 @@ from loosehc.hypergraph import (
     InvalidInput,
     Parameters,
     PipelineConfig,
+    _index_edge_by_edge,
+    cached_property,
     data_lines,
     degree,
     edges_within,
@@ -17,6 +21,7 @@ from loosehc.hypergraph import (
     min_j_degree,
     min_j_degree_within,
     parse_hypergraph,
+    relabelled,
     relative_degree,
 )
 
@@ -91,6 +96,124 @@ def test_induced_idempotent():
     sub, _ = induced(g, {0, 1, 2, 4, 6})
     again, _ = induced(sub, range(sub.n))
     assert again == sub
+
+
+# Each bad host with the error it has always raised: the first bad edge
+# in edge order is named, whichever check it fails.
+BAD_HOSTS = [
+    ("wrong length", ((0, 1, 2), (0, 1)), InvalidInput,
+     "edge (0, 1) does not have 3 distinct vertices"),
+    ("lengths that add up to m*k", ((0, 1, 2, 3), (4, 5)), InvalidInput,
+     "edge (0, 1, 2, 3) does not have 3 distinct vertices"),
+    ("repeated vertex", ((0, 0, 1),), InvalidInput,
+     "edge (0, 0, 1) does not have 3 distinct vertices"),
+    ("unsorted", ((0, 2, 1),), InvalidInput, "edge (0, 2, 1) is not sorted"),
+    ("negative vertex", ((-1, 0, 1),), InvalidInput,
+     "edge (-1, 0, 1) has a vertex outside [0, 9)"),
+    ("vertex >= n", ((0, 1, 9),), InvalidInput,
+     "edge (0, 1, 9) has a vertex outside [0, 9)"),
+    ("vertex >= 2^63", ((0, 1, 2 ** 63),), InvalidInput,
+     f"edge (0, 1, {2 ** 63}) has a vertex outside [0, 9)"),
+    ("fractional negative vertex", ((-0.5, 1, 2),), InvalidInput,
+     "edge (-0.5, 1, 2) has a vertex outside [0, 9)"),
+    ("duplicate", ((0, 1, 2), (1, 2, 3), (0, 1, 2)), InvalidInput,
+     "duplicate edge (0, 1, 2)"),
+    ("list edge", ([0, 1, 2],), TypeError, "unhashable type: 'list'"),
+    ("text vertices", (("0", "1", "2"),), TypeError,
+     "'<' not supported between instances of 'str' and 'int'"),
+    ("several bad edges", ((0, 1, 2), (0, 2, 1), (0, 1, 9), (0, 0, 1), (0, 1, 2)),
+     InvalidInput, "edge (0, 2, 1) is not sorted"),
+    ("several bad edges, out of range first", ((1, 2, 3), (0, 1, 9), (0, 0, 1)),
+     InvalidInput, "edge (0, 1, 9) has a vertex outside [0, 9)"),
+]
+
+
+@pytest.mark.parametrize(
+    "edges, error, message",
+    [case[1:] for case in BAD_HOSTS],
+    ids=[case[0] for case in BAD_HOSTS],
+)
+def test_a_bad_host_is_refused_naming_its_first_bad_edge(edges, error, message):
+    with pytest.raises(error) as raised:
+        Hypergraph(9, 3, edges)
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_integer_like_vertices_and_no_edges_are_accepted():
+    g = Hypergraph(5, 3, ((np.int64(0), np.int64(1), np.int64(4)), (np.uint8(1), 2, 3)))
+    assert g.edge_index == {(0, 1, 4): 0, (1, 2, 3): 1}
+    assert Hypergraph(5, 3, ()).edge_index == {}
+    # Vertices past 64 bits are checked one edge at a time, as ever.
+    huge = Hypergraph(2 ** 64, 2, ((0, 2 ** 63), (2 ** 63, 2 ** 64 - 1)))
+    assert huge.edge_index == {(0, 2 ** 63): 0, (2 ** 63, 2 ** 64 - 1): 1}
+
+
+def outcome(build):
+    try:
+        return build()
+    except (InvalidInput, TypeError) as error:
+        return type(error), str(error)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_bulk_checks_agree_with_the_per_edge_checks(data):
+    # The per-edge loop is the reference: the same index for a good host,
+    # the same error for a bad one.  Vertex counts straddle the array's
+    # integer widths.
+    n = data.draw(st.sampled_from([0, 4, 7, 127, 128, 129, 2 ** 15, 2 ** 63]))
+    k = data.draw(st.integers(2, 4))
+    vertex = st.one_of(st.integers(-2, 9), st.integers(n - 2, n + 2))
+    edge = st.lists(vertex, min_size=k - 1, max_size=k + 1).map(tuple)
+    sorted_edge = st.lists(vertex, min_size=k, max_size=k, unique=True).map(
+        lambda e: tuple(sorted(e))
+    )
+    edges = tuple(data.draw(st.lists(st.one_of(edge, sorted_edge, sorted_edge), max_size=8)))
+    expected = outcome(lambda: _index_edge_by_edge(edges, n, k))
+    assert outcome(lambda: Hypergraph(n, k, edges).edge_index) == expected
+
+
+@pytest.mark.parametrize("n, k", [(12, 3), (10, 4)])
+def test_relabelled_equals_the_checked_host(n, k):
+    g = Hypergraph.complete(n, k)
+    rng = Random(n * k)
+    for _ in range(30):
+        old_ids = tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
+        inside = edges_within(g, old_ids)
+        kept = [e for e in inside if rng.random() < 0.7]
+        for edges in (inside, kept):
+            sub = relabelled(g, old_ids, edges)
+            checked = Hypergraph(len(old_ids), k, tuple(
+                tuple(old_ids.index(v) for v in e) for e in edges
+            ))
+            assert sub == checked and sub.edge_index == checked.edge_index
+
+
+def test_contains_answers_for_any_order_and_container():
+    g = Hypergraph.from_edges(6, 3, [(0, 2, 4), (1, 3, 5)])
+    for e in [(0, 2, 4), (1, 3, 5)]:
+        for order in permutations(e):
+            assert g.contains(order) and g.contains(list(order))
+        assert g.contains(frozenset(e)) and g.contains(iter(e))
+    for e in [(0, 1, 2), (4, 2), (0, 2, 4, 5)]:
+        for order in permutations(e):
+            assert not g.contains(order) and not g.contains(list(order))
+
+
+def test_cached_property_computes_once_and_stores_the_value():
+    calls = []
+
+    class Box:
+        @cached_property
+        def value(self):
+            """The value."""
+            calls.append(1)
+            return 42
+
+    box = Box()
+    assert box.value == 42 and box.value == 42 and calls == [1]
+    assert box.__dict__["value"] == 42
+    assert Box.value.__doc__ == "The value."
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Rules over the package's source: every module declares its imports at
-the top, none inside a function body, and only colouring.py and
-hypergraph.py know how colours are stored."""
+the top, none inside a function body, only colouring.py and
+hypergraph.py know how colours are stored, and only hypergraph.py builds
+a host without its checks."""
 
 import ast
 import re
@@ -47,3 +48,14 @@ def test_only_the_colouring_and_the_host_know_how_colours_are_stored():
         and stored.search(path.read_text())
     )
     assert offenders == []
+
+
+def test_only_the_host_module_builds_a_host_without_its_checks():
+    # hypergraph.relabelled is the one host built through object.__new__;
+    # every other host goes through Hypergraph.__post_init__.
+    package = Path(loosehc.__file__).parent
+    unchecked = re.compile(r"__new__\(\s*Hypergraph\b")
+    builders = sorted(
+        path.name for path in package.glob("*.py") if unchecked.search(path.read_text())
+    )
+    assert builders == ["hypergraph.py"]

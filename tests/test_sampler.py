@@ -203,7 +203,7 @@ def test_exact_size_draws_reach_every_disjoint_splitting_and_nothing_else(
     valid = {
         positions for positions in combinations(range(c), path_count - 1)
         if isinstance(validate_splitting(
-            cycle, SampledSplitting(cycle, anchor, positions, path_len).all_paths,
+            cycle, SampledSplitting(cycle, anchor, positions, path_len, 2).all_paths,
             "balanced", path_len,
         ), Splitting)
     }
@@ -901,7 +901,7 @@ def complete_on_sample(k, t, quota):
     cycle = LooseCycle(tuple(range(m * (t + 1) * (k - 1))), k)
     positions = tuple(range(0, m * (t + 1), t + 1))
     anchor = increasing_path(cycle, cycle.edge_sequence[0], t)
-    sample = SampledSplitting(cycle, anchor, positions[1:], t)
+    sample = SampledSplitting(cycle, anchor, positions[1:], t, 0)
     g = Hypergraph.from_edges(cycle.n, k, sorted(
         set(cycle.edge_sequence) | set(combinations(sorted(sample.vertices), k))
     ))
