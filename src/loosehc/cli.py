@@ -562,7 +562,7 @@ def main(argv=None) -> int:
     else:
         try:
             code = args.handler(args)
-        except (FormatError, InvalidInput, FileNotFoundError) as exc:
+        except (InvalidInput, OSError, UnicodeError) as exc:
             human(f"error: {exc}")
             code = EXIT_INVALID
     manifest = {

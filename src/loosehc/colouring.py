@@ -176,7 +176,7 @@ def shares_colour(
 def parse_colouring(text: str, graph: Hypergraph) -> Colouring:
     """Parse the .col format: line i colours edge i of the companion graph.
 
-    Blank lines and '#' comments are ignored; a count mismatch is an error.
+    Blank lines and '#' comments are ignored; Colouring checks the count.
     """
     colours: list[int] = []
     for lineno, numbers in data_lines(text):
@@ -188,10 +188,6 @@ def parse_colouring(text: str, graph: Hypergraph) -> Colouring:
         if c >= 2**64:
             raise FormatError(lineno, f"colour must be below 2**64, got {c}")
         colours.append(c)
-    if len(colours) != len(graph.edges):
-        raise InvalidInput(
-            f"colouring has {len(colours)} entries for {len(graph.edges)} edges"
-        )
     return Colouring(graph, colours)
 
 

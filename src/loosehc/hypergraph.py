@@ -141,19 +141,23 @@ def _index_edge_by_edge(
     edges: tuple[tuple[int, ...], ...], n: int, k: int
 ) -> dict[tuple[int, ...], int]:
     """The edge index, built by checking one edge at a time: the first bad
-    edge raises, named in the message.  It reads edges that _bulk_index
-    refused, so every bad host is refused with the same error as ever."""
+    edge raises, named in the message and at error.position.  It reads
+    edges that _bulk_index refused, so every error is the same as ever."""
     index: dict[tuple[int, ...], int] = {}
-    for position, e in enumerate(edges):
-        if len(e) != k or len(set(e)) != k:
-            raise InvalidInput(f"edge {e} does not have {k} distinct vertices")
-        if list(e) != sorted(e):
-            raise InvalidInput(f"edge {e} is not sorted")
-        if e[0] < 0 or e[-1] >= n:
-            raise InvalidInput(f"edge {e} has a vertex outside [0, {n})")
-        if e in index:
-            raise InvalidInput(f"duplicate edge {e}")
-        index[e] = position
+    try:
+        for position, e in enumerate(edges):
+            if len(e) != k or len(set(e)) != k:
+                raise InvalidInput(f"edge {e} does not have {k} distinct vertices")
+            if list(e) != sorted(e):
+                raise InvalidInput(f"edge {e} is not sorted")
+            if e[0] < 0 or e[-1] >= n:
+                raise InvalidInput(f"edge {e} has a vertex outside [0, {n})")
+            if e in index:
+                raise InvalidInput(f"duplicate edge {e}")
+            index[e] = position
+    except InvalidInput as error:
+        error.position = position
+        raise
     return index
 
 
@@ -458,35 +462,33 @@ def parse_hypergraph(text: str) -> Hypergraph:
     """Parse the .hg format: header "k n", then one sorted edge per line.
 
     Blank lines and lines starting with '#' are ignored.  Violations raise
-    FormatError with the offending line number.
+    FormatError with the first offending line's number.  Hypergraph checks
+    k, n and the edges, and its error is mapped to the header's or the
+    edge's line.
     """
-    header: tuple[int, int] | None = None
-    edges: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for lineno, numbers in data_lines(text):
-        if header is None:
-            if len(numbers) != 2:
-                raise FormatError(lineno, 'header must be "k n"')
-            header = (numbers[0], numbers[1])
-            if header[0] < 2:
-                raise FormatError(lineno, f"uniformity k must be >= 2, got {header[0]}")
-            if header[1] < 0:
-                raise FormatError(lineno, f"vertex count must be >= 0, got {header[1]}")
-            continue
-        k, n = header
-        if len(numbers) != k:
-            raise FormatError(lineno, f"expected {k} vertices, got {len(numbers)}")
-        if list(numbers) != sorted(numbers) or len(set(numbers)) != k:
-            raise FormatError(lineno, f"edge {numbers} must be strictly ascending")
-        if numbers[0] < 0 or numbers[-1] >= n:
-            raise FormatError(lineno, f"edge {numbers} has a vertex outside [0, {n})")
-        if numbers in seen:
-            raise FormatError(lineno, f"duplicate edge {numbers}")
-        seen.add(numbers)
-        edges.append(numbers)
-    if header is None:
+    rows = data_lines(text)
+    first = next(rows, None)
+    if first is None:
         raise FormatError(1, "empty input: missing header")
-    return Hypergraph(header[1], header[0], tuple(edges))
+    header_line, header = first
+    if len(header) != 2:
+        raise FormatError(header_line, 'header must be "k n"')
+    edge_lines, edges, bad_token = [], [], None
+    try:
+        for lineno, numbers in rows:
+            edge_lines.append(lineno)
+            edges.append(numbers)
+    except FormatError as error:  # a bad line before it is named first
+        bad_token = error
+    try:
+        g = Hypergraph(header[1], header[0], tuple(edges))
+    except InvalidInput as error:
+        position = getattr(error, "position", None)
+        line = header_line if position is None else edge_lines[position]
+        raise FormatError(line, str(error)) from None
+    if bad_token is not None:
+        raise bad_token
+    return g
 
 
 def format_hypergraph(g: Hypergraph) -> str:

@@ -340,6 +340,23 @@ def test_manifest_written_on_error_exit(files, capsys, tmp_path):
     assert "error:" in err and "manifest:" in err
 
 
+@pytest.mark.parametrize("make_hg, error", [
+    (lambda path: path.mkdir(), "Is a directory"),
+    (lambda path: path.write_bytes(b"3 6\n\xff\xfe 1 2\n"), "codec can't decode"),
+], ids=["directory", "not-utf-8"])
+def test_unreadable_input_exits_2_with_a_manifest(files, capsys, tmp_path, make_hg, error):
+    make_hg(tmp_path / "bad.hg")
+    manifest = tmp_path / "manifest.json"
+    code, records, err = run(
+        capsys, "--manifest", manifest,
+        "verify", "--hg", tmp_path / "bad.hg", "--col", files / "g.col",
+        "--cycle", files / "cycle.txt",
+    )
+    assert code == 2 and records == []
+    assert json.loads(manifest.read_text())["exit_code"] == 2
+    assert "error:" in err and error in err and "manifest:" in err
+
+
 def test_manifest_written_when_argparse_rejects(files, capsys, tmp_path):
     manifest = tmp_path / "manifest.json"
     code, records, err = run(

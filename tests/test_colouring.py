@@ -79,7 +79,7 @@ def test_parse_colouring_roundtrip():
 
 def test_parse_colouring_length_mismatch():
     g = chain_graph()
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="^colouring has 2 entries for 3 edges$"):
         parse_colouring("1\n2\n", g)
 
 
@@ -87,7 +87,8 @@ def test_parse_colouring_length_mismatch():
     ("0\n# c\nx\n", 3, "non-integer token in 'x'"),
     ("0\n\n1 2\n", 3, "expected one colour, got 2"),
     ("0\n-1\n", 2, "colour must be non-negative, got -1"),
-], ids=["token", "count", "negative"])
+    (f"0\n# c\n{2**64}\n", 3, f"colour must be below 2**64, got {2**64}"),
+], ids=["token", "count", "negative", "too-large"])
 def test_parse_colouring_reports_bad_lines(text, line, message):
     with pytest.raises(FormatError) as err:
         parse_colouring(text, chain_graph())

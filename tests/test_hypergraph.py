@@ -341,6 +341,25 @@ def test_parse_reports_line_numbers():
         parse_hypergraph("3 6\n0 1 9\n")
     assert err.value.line == 2
 
+    # The first bad line is named, whichever check refuses it: the header's
+    # k and n, an edge, or a token that is not an integer.
+    for text, line in [
+        ("3 6\n0 1 2\n0 1\n", 3),            # wrong length
+        ("3 6\n0 1 2\n0 1 2 3\n", 3),        # too long
+        ("3 6\n# c\n0 0 1\n", 3),            # a repeated vertex
+        ("3 6\n0 1 2\n3 4 6\n", 3),          # a vertex >= n
+        ("3 6\n-1 0 1\n", 2),                # a negative vertex
+        ("1 6\n0\n", 1),                     # k < 2
+        ("# c\n\n3 -1\n", 3),                # n < 0
+        ("1 -1\n0 x\n", 1),                  # k < 2 before a bad token
+        ("3 6\n0 1 9\n0 x\n", 2),            # a bad edge before a bad token
+        ("3 6\n0 1 2\n0 x\n0 1 2\n", 3),     # a bad token before a duplicate
+        ("3 6\n0 1 2\n1 2 3\n3 4 7\n1 2 3\n", 4),  # the first of two bad edges
+    ]:
+        with pytest.raises(FormatError) as err:
+            parse_hypergraph(text)
+        assert err.value.line == line, text
+
 
 def test_data_lines_numbers_each_data_line():
     assert list(data_lines("# head\n\n 1 2 \n#\n3\n")) == [(3, (1, 2)), (5, (3,))]

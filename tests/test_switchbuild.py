@@ -70,7 +70,7 @@ def test_build_conflict_graph_first_part_empty():
     _, _, s = splitting_n12()
     partition, _ = viable_n12(s)
     labels = part_labels(s, partition)
-    assert build_conflict_graph(s, labels, [], 0, 1).edges == frozenset()
+    assert build_conflict_graph(s, labels, [], 0).edges == frozenset()
 
 
 def test_build_conflict_graph_lifts_pairs():
@@ -92,7 +92,7 @@ def test_build_conflict_graph_lifts_pairs():
     labels = part_labels(s, partition)
     # A previous trimmed edge through the vertices of paths 3, 5 at part 0
     trimmed = [[(12, 16, 20)]]
-    lifted = build_conflict_graph(s, labels, trimmed, 1, 1)
+    lifted = build_conflict_graph(s, labels, trimmed, 1)
     assert lifted.edges == frozenset({(13, 17), (13, 21), (17, 21)})
 
 
@@ -283,6 +283,31 @@ def test_is_switching_names_an_anchor_vertex_outside_the_new_splitting():
     assert report.witnesses["anchor-transverse"] == (
         "anchor vertices not covered by the new splitting"
     )
+
+
+def test_a_part_path_off_the_host_is_refused_by_is_switching(monkeypatch):
+    # The host lacks (2, 5, 8), the one edge on part {2, 5, 8}.  Handing
+    # that part's tiling a graph that holds it yields a path through a
+    # non-host edge, and is_switching's report is what refuses the cycle.
+    g12, cycle, s = splitting_n12()
+    partition, rerouting = viable_n12(s)
+    off_host = (2, 5, 8)
+    g = thinned(g12, off_host)
+    real = switchbuild.relabelled
+
+    def with_off_host_edge(host, old_ids, edges):
+        extra = [off_host] if old_ids == off_host else []
+        return real(host, old_ids, [*edges, *extra])
+
+    monkeypatch.setattr(switchbuild, "relabelled", with_off_host_edge)
+    with pytest.raises(AssertionError, match=(
+        r"(?s)^builder emitted a non-switching: .*new cycle is not a Hamilton "
+        r"cycle of the graph: \[\(2, 5, 8\)\]"
+    )):
+        build_feasible_switching(
+            cycle, s.paths[0], s, partition, rerouting, g, Colouring.injective(g),
+            desk_params(), PipelineConfig(seed=1),
+        )
 
 
 def test_check_report_serialization():
