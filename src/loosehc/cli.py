@@ -576,9 +576,13 @@ def main(argv=None) -> int:
     }
     if hasattr(args, "hypotheses"):
         manifest["hypotheses"] = args.hypotheses
-    human("manifest: " + json.dumps(manifest, sort_keys=True))
     if args.manifest:
-        Path(args.manifest).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        try:
+            Path(args.manifest).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        except OSError as exc:
+            human(f"error: {exc}")
+            code = manifest["exit_code"] = EXIT_INVALID
+    human("manifest: " + json.dumps(manifest, sort_keys=True))
     return code
 
 

@@ -8,6 +8,12 @@ each block from the reservoirs, and finally find a spanning loose path in
 each block with an exhaustive oracle (standing in for an asymptotic
 existence guarantee that is out of reach at this scale).
 
+Stages that cannot change the answer are skipped.  With one pair there
+are no reservoirs and the partition is forced, so only the claim gate
+runs before the whole vertex set is tiled as one block.  A block of
+exactly k vertices is its own path when the host holds it as an edge and
+no conflict pair lies inside it; only otherwise does the oracle run.
+
 Every stage is deterministic given (request, seed); failures carry the
 stage name.
 """
@@ -317,9 +323,15 @@ def build_path_tiling(
 
     The spanning path inside each block is found by the exhaustive
     backtracking oracle, constrained to avoid every hyperedge containing a
-    conflict pair.  Any stage that cannot complete raises TilingInfeasible
-    naming the stage.  Of the parameters only epsilon, beta, threshold and
-    j are read; the path length and pair count come from the request.
+    conflict pair.  A block of exactly k vertices skips the oracle when it
+    is a host edge with no conflict pair inside: that edge, from one end of
+    its pair to the other, is its only path.  A request with one pair runs
+    the claim gate once and tiles all n vertices as its block, with no
+    reservoirs, repair, divisibility top-up or retries, since none of them
+    can change a forced partition.  Any stage that cannot complete raises
+    TilingInfeasible naming the stage.  Of the parameters only epsilon,
+    beta, threshold and j are read; the path length and pair count come
+    from the request.
     """
     config = config or PipelineConfig()
     g, k = req.graph, req.graph.k
@@ -332,6 +344,12 @@ def build_path_tiling(
         )
     if g.n < 2 * mt + (k - 2) * (mt - 1):
         raise TilingInfeasible("reservoirs", "not enough vertices for pairs and reservoirs")
+    if mt == 1:
+        # The reservoirs are the empty sentinels and the claim partition is
+        # forced, so repair and the divisibility top-up leave it unchanged
+        # and there is nothing to retry.  The sampler still gates it once.
+        next(sample_claim_partition(req, ((), ()), params, config))
+        return PathTiling(tuple(_tile_blocks(req, [frozenset(range(g.n))])))
     reservoirs = choose_reservoirs(req)
     # A partition that passes the claim conditions can still strand the
     # spanning-path stage at desk scale, so the tail of the pipeline moves
@@ -359,12 +377,20 @@ def _tile_blocks(req: TilingRequest, finals) -> list[LoosePath]:
     g, k = req.graph, req.graph.k
     paths: list[LoosePath] = []
     for p, block in enumerate(finals):
+        a, b = req.pairs[p]
+        if len(block) == k:
+            # The block's one possible loose path is the block itself, in
+            # the vertex order the oracle's closing step gives.  Otherwise
+            # the oracle runs, so a refusal still comes from it.
+            edge = tuple(sorted(block))
+            if g.contains(edge) and not req.conflicts.contained_pairs(edge):
+                paths.append(LoosePath((a, *(v for v in edge if v != a and v != b), b), k))
+                continue
         sub, old_ids = induced(g, block)
         to_new = {v: i for i, v in enumerate(old_ids)}
         forbidden = PairGraph.from_pairs(
             (to_new[u], to_new[v]) for u, v in req.conflicts.edges_inside(block)
         )
-        a, b = req.pairs[p]
         found = find_loose_hamilton_path(sub, to_new[a], to_new[b], forbidden)
         if found is None:
             raise TilingInfeasible(

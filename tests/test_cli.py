@@ -357,6 +357,21 @@ def test_unreadable_input_exits_2_with_a_manifest(files, capsys, tmp_path, make_
     assert "error:" in err and error in err and "manifest:" in err
 
 
+def test_unwritable_manifest_exits_2_after_the_command_ran(files, capsys, tmp_path):
+    # The manifest path is a directory: the verify still prints its record,
+    # and the failed write is reported as an invalid input.
+    code, records, err = run(
+        capsys, "--manifest", tmp_path,
+        "verify", "--hg", files / "g.hg", "--col", files / "g.col",
+        "--cycle", files / "cycle.txt",
+    )
+    assert code == 2 and len(records) == 1
+    assert "error:" in err and "Is a directory" in err
+    manifest_line = err.splitlines()[-1]
+    assert manifest_line.startswith("manifest: ")
+    assert json.loads(manifest_line.removeprefix("manifest: "))["exit_code"] == 2
+
+
 def test_manifest_written_when_argparse_rejects(files, capsys, tmp_path):
     manifest = tmp_path / "manifest.json"
     code, records, err = run(

@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from loosehc import colouring, sampler, splitting, switchbuild
+from loosehc import colouring, sampler, splitting, switchbuild, tiling
 from loosehc.colouring import Colouring
 from loosehc.cycles import LoosePath, increasing_path, validate_loose_cycle
 from loosehc.hypergraph import Hypergraph, InvalidInput, Parameters, UnmeetableGate
@@ -113,6 +113,31 @@ def test_build_feasible_switching_injective():
     # New splitting paths live inside single parts.
     for p in sw.new_splitting.paths:
         assert len({partition.part_of[v] for v in p.vertices}) == 1
+
+
+def test_forced_part_tilings_search_nothing(monkeypatch):
+    # At t = m~ = 1 each part has k vertices and one pair, so its tiling is
+    # its own edge: no spanning-path search runs and no claim partition is
+    # drawn.
+    tilings, oracle_calls, streams = [], [], []
+    real_tiling, real_find, real_stream = (
+        switchbuild.build_path_tiling, tiling.find_loose_hamilton_path, tiling.stream
+    )
+    monkeypatch.setattr(switchbuild, "build_path_tiling",
+                        lambda *args: tilings.append(args) or real_tiling(*args))
+    monkeypatch.setattr(tiling, "find_loose_hamilton_path",
+                        lambda *args: oracle_calls.append(args) or real_find(*args))
+    monkeypatch.setattr(tiling, "stream", lambda *key: streams.append(key) or real_stream(*key))
+    g, cycle, s = splitting_n12()
+    partition, rerouting = viable_n12(s)
+    result = build_feasible_switching(
+        cycle, s.paths[0], s, partition, rerouting, g, Colouring.injective(g),
+        desk_params(), PipelineConfig(seed=1),
+    )
+    assert result.feasibility.ok
+    assert len(tilings) == 3
+    assert oracle_calls == []
+    assert [key for key in streams if "claim-partition" in key] == []
 
 
 def test_builder_checks_through_the_predicates_only(monkeypatch):

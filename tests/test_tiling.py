@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 from unittest import mock
 
 import pytest
@@ -307,6 +307,77 @@ def test_forced_block_without_a_path_fails_after_one_oracle_call(monkeypatch):
         build_path_tiling(req, PARAMS, PipelineConfig(seed=1))
     assert err.value.stage == "ham-path"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_a_block_of_k_vertices_is_tiled_as_the_oracle_tiles_it(monkeypatch, k):
+    # On a k-vertex host the only loose path is the edge on all k vertices.
+    # The tiling must return the oracle's vertex order, or refuse with
+    # "ham-path" exactly where the oracle finds no path, and it calls the
+    # oracle only for those refusals.
+    calls = []
+    real_find = tiling.find_loose_hamilton_path
+    monkeypatch.setattr(tiling, "find_loose_hamilton_path",
+                        lambda *args: calls.append(args) or real_find(*args))
+    refused = 0
+    for edges in ((), (tuple(range(k)),)):
+        g = Hypergraph(k, k, edges)
+        for a, b in permutations(range(k), 2):
+            for conflict in [None, *combinations(range(k), 2)]:
+                conflicts = PairGraph.from_pairs([conflict] if conflict else [])
+                expected = real_find(g, a, b, conflicts)
+                req = TilingRequest(g, ((a, b),), conflicts, 1)
+                try:
+                    got = build_path_tiling(req, PARAMS, PipelineConfig(seed=1)).paths[0].vertices
+                except TilingInfeasible as exc:
+                    got = exc.stage
+                assert got == ("ham-path" if expected is None else expected.vertices)
+                refused += expected is None
+    assert 0 < len(calls) == refused
+
+
+def staged_tiling(req, params, config):
+    """A one-pair tiling through every stage: reservoirs, the first
+    accepted claim partition, repair, the divisibility top-up and the
+    spanning-path stage."""
+    reservoirs = choose_reservoirs(req)
+    parts = next(sample_claim_partition(req, reservoirs, params, config))
+    parts = repair_bad_parts(req, reservoirs, parts)
+    finals = fix_divisibility(req, reservoirs, parts)
+    return PathTiling(tuple(tiling._tile_blocks(req, finals)))
+
+
+def tiling_outcome(tile, req, config):
+    try:
+        return [p.vertices for p in tile(req, PARAMS, config).paths]
+    except TilingInfeasible as exc:
+        return (exc.stage, exc.detail)
+
+
+def one_pair_requests(count, seed):
+    """Random 3- and 4-graphs on at most 11 vertices, whose size a loose
+    path can span, with one random pair and a random conflict graph.  At
+    most 10 conflict neighbours stay within the cap 2tk^2 >= 18."""
+    rng = random.Random(seed)
+    for i in range(count):
+        k = rng.choice((3, 4))
+        n = rng.choice([n for n in range(k, 12) if (n - 1) % (k - 1) == 0])
+        density = rng.uniform(0.3, 1)
+        graph = Hypergraph(n, k, tuple(e for e in combinations(range(n), k) if rng.random() < density))
+        conflict_density = rng.choice((0, rng.uniform(0, 0.25)))
+        conflicts = [e for e in combinations(range(n), 2) if rng.random() < conflict_density]
+        req = TilingRequest(graph, (tuple(rng.sample(range(n), 2)),),
+                            PairGraph.from_pairs(conflicts), rng.choice((1, 2, 3)))
+        yield req, PipelineConfig(seed=i, structural=rng.choice((None, False)))
+
+
+def test_a_one_pair_tiling_equals_the_staged_pipeline():
+    outcomes = []
+    for req, config in one_pair_requests(200, seed=31):
+        expected = tiling_outcome(staged_tiling, req, config)
+        assert tiling_outcome(build_path_tiling, req, config) == expected
+        outcomes.append(expected[0] if isinstance(expected, tuple) else "tiled")
+    assert {"tiled", "ham-path", "claim-partition"} <= set(outcomes)
 
 
 def test_strict_claim_gate_checks_part_degrees():
