@@ -1,21 +1,28 @@
 """Switching-driven local search for a rainbow loose Hamilton cycle.
 
 Start from a random Hamilton cycle; while some colour repeats on the
-cycle, wrap one offending edge in an anchored path, sample a splitting
-around it, and apply a feasible switching, which scatters the anchor's
-vertices across distinct new paths and never creates repeats away from
-them.  Each splitting draw is a disjoint splitting of the size the
+cycle, pick one conflict uniformly from a seeded stream, wrap its first
+edge in an anchored path, sample a splitting around it, and build a
+feasible switching, which scatters the anchor's vertices across distinct
+new paths and never creates repeats away from them.  Repeats can still
+land on the anchor, so the search keeps the new cycle only when it has no
+more conflicts than the one in hand, and otherwise holds its cycle; a
+search that kept every switching and aimed at the nearest conflict
+cycled.  This is the non-increasing acceptance and uniform flaw choice of
+the focused swap walk of Harris and Srinivasan (the Lovász Local Lemma on
+permutations, SODA 2014), applied to the paper's move, which is itself
+unchanged.  Each splitting draw is a disjoint splitting of the size the
 switching needs, and each partition draw already meets the exit quota, so
 no step spends a draw on a splitting of the wrong size or shape, or on a
 partition that misses the quota.  The step falls back to redrawing a
 fresh random cycle when the host is too small for the switching geometry,
 when the budgets run out, and when STALL_STEPS switch steps since the last
-(re)start have brought no new low in the conflict count, so a search held
-in a basin leaves it.  The conflict list of the cycle in hand decides
-success, the cycle from the last step included.  The search is a
-heuristic: exhausting the step budget is a report, not an error.  Its one
-proof is the colour count: a colouring with fewer colours than a cycle has
-edges leaves no rainbow cycle, and the search answers absent at once.
+(re)start, kept or not, have brought no new low in the conflict count, so
+a search held in a basin leaves it.  The conflict list of the cycle in
+hand decides success, the cycle from the last step included.  The search
+is a heuristic: exhausting the step budget is a report, not an error.  Its
+one proof is the colour count: a colouring with fewer colours than a cycle
+has edges leaves no rainbow cycle, and the search answers absent at once.
 """
 
 from dataclasses import dataclass, field, replace
@@ -106,20 +113,26 @@ def find_rainbow_hamilton_cycle(
     max_steps: int = 500,
     start: LooseCycle | None = None,
 ) -> SearchResult:
-    """Local search: resolve one conflict per step by a feasible switching,
-    redrawing a fresh random Hamilton cycle when no switching can be built
-    within budget or the search has stalled.  Any returned success is
-    re-validated, whether its cycle came from the last step or an earlier
-    one.
+    """Local search: aim each step at one conflict, drawn uniformly by
+    child_seed(seed, "search-target", step), and build a feasible switching
+    around it; keep the new cycle when its conflict count is at most the
+    current one, and hold the current cycle otherwise.  A fresh random
+    Hamilton cycle is drawn when no switching can be built within budget
+    or the search has stalled.  The builder's reports and the off-anchor
+    check are asserted on every built switching, kept or not.  Any
+    returned success is re-validated, whether its cycle came from the last
+    step or an earlier one.
 
     Before the first draw it runs PIPELINE.refusal once: parameters of
     another uniformity are raised, and an UnmeetableGate turns every step
     into a restart without sampling.  Each restart's log entry names its
     reason: that gate ("relative-degree", "host-too-small", ...),
     "budget-exhausted" when sample_switching found nothing, or "stalled"
-    after STALL_STEPS switch steps without a new low in the conflict count
-    since the last (re)start.  Each switch entry records the conflict count
-    before and after the step.
+    after STALL_STEPS switch steps, kept or not, without a new low in the
+    conflict count since the last (re)start.  Each switch entry records
+    the target's index in the conflict list ("target"), the conflict count
+    of the cycle in hand ("conflicts") and of the built cycle ("after"),
+    and whether the built cycle was kept ("kept").
 
     When chi has fewer colours than a cycle has edges, n/(k-1), no cycle
     is rainbow: the search draws its start cycle, logs the proof
@@ -149,7 +162,8 @@ def find_rainbow_hamilton_cycle(
         reason = blocked or ("stalled" if stalled >= STALL_STEPS else None)
         built = None
         if reason is None:
-            target = conflicts[0]
+            index = child_seed(seed, "search-target", step) % len(conflicts)
+            target = conflicts[index]
             anchor = increasing_path(
                 cycle, cycle.edge_sequence[target.anchor_start], params.path_len
             )
@@ -171,18 +185,20 @@ def find_rainbow_hamilton_cycle(
             assert report.ok, f"pipeline produced a non-switching: {report}"
             feasible = built.feasibility
             assert feasible.ok, f"pipeline produced an infeasible switching: {feasible}"
-            cycle = built.switching.new_cycle
-            new_conflicts = find_conflicts(cycle, chi, params.path_len)
+            new_cycle = built.switching.new_cycle
+            new_conflicts = find_conflicts(new_cycle, chi, params.path_len)
             avoids = anchor.vertex_set.isdisjoint
             before = sum(avoids(x.first + x.second) for x in conflicts)
             after = sum(avoids(x.first + x.second) for x in new_conflicts)
             assert after <= before, "feasible switchings never add conflicts off the anchor"
+            kept = len(new_conflicts) <= len(conflicts)
             log.note(
-                step=step, action="switch",
+                step=step, action="switch", kept=kept, target=index,
                 conflicts=len(conflicts), after=len(new_conflicts),
                 colour=target.colour, kind=target.kind,
             )
-            conflicts = new_conflicts
+            if kept:
+                cycle, conflicts = new_cycle, new_conflicts
             if len(conflicts) < low:
                 low, stalled = len(conflicts), 0
             else:

@@ -116,7 +116,7 @@ PINS = {
         {},
     ),
     "search-12-mod8": (
-        0, "349841771ef0e26611c8882c3dd35f9a570ea1183aa943429da288f59bf6a427",
+        3, "f9a926bc7e678b5f983728e7300508338dfd5e606d83b0b8b02f5e4ae642a860",
         {},
     ),
     "search-24": (

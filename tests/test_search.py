@@ -20,7 +20,7 @@ from loosehc.rng import child_seed, stream
 import loosehc.search as search
 import loosehc.splitting as splitting
 import loosehc.switchbuild as switchbuild
-from loosehc.search import find_conflicts, find_rainbow_hamilton_cycle
+from loosehc.search import Conflict, find_conflicts, find_rainbow_hamilton_cycle
 from loosehc.splitting import CheckReport
 from loosehc.switchbuild import sample_switching
 
@@ -226,12 +226,12 @@ PINNED_SEARCHES = {
     (12, 1): ((0, 5, 11, 1, 9, 4, 8, 2, 10, 3, 7, 6), 52, 1),
     (12, 6): ((0, 5, 1, 6, 3, 9, 11, 10, 7, 2, 8, 4), 1, 0),
     (12, 9): ((0, 5, 9, 8, 2, 4, 6, 3, 1, 10, 11, 7), 51, 1),
-    (24, 1): ((5, 0, 13, 18, 9, 2, 12, 10, 19, 8, 16, 17, 1, 20, 3, 15, 11, 6, 7, 4, 23,
-               21, 14, 22), 22, 0),
-    (24, 6): ((0, 11, 21, 7, 9, 2, 19, 4, 12, 16, 1, 18, 20, 22, 15, 23, 3, 6, 8, 10, 14,
-               5, 17, 13), 5, 0),
-    (24, 9): ((1, 0, 10, 6, 4, 18, 19, 7, 20, 3, 16, 17, 23, 2, 21, 5, 9, 12, 15, 13, 8,
-               11, 14, 22), 3, 0),
+    (24, 1): ((1, 0, 14, 17, 23, 10, 11, 20, 12, 18, 19, 15, 13, 8, 3, 22, 5, 6, 16, 4, 7,
+               2, 9, 21), 3, 0),
+    (24, 6): ((0, 22, 1, 18, 20, 16, 14, 11, 17, 7, 19, 5, 15, 10, 9, 2, 8, 13, 21, 4, 3,
+               6, 12, 23), 5, 0),
+    (24, 9): ((4, 0, 15, 12, 1, 3, 23, 2, 8, 11, 14, 18, 9, 7, 21, 17, 19, 13, 20, 22, 16,
+               5, 10, 6), 8, 0),
 }
 
 
@@ -416,3 +416,112 @@ def test_no_run_of_switch_steps_outlasts_the_stall_limit(chi_for, seed, max_step
     assert stalls == result.restarts >= 1
     assert result.success == (chi_for is not no_rainbow_cycle)
     assert result.conflicts == len(find_conflicts(result.cycle, chi, 1))
+
+
+def switch_entries(result):
+    return [entry for entry in result.log.steps if entry["action"] == "switch"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_held_conflict_count_never_rises_between_restarts(seed):
+    # K12 has no rainbow cycle under no_rainbow_cycle, so most switchings
+    # would add conflicts: the search rejects them and holds its cycle.
+    g = Hypergraph.complete(12, 3)
+    result = find_rainbow_hamilton_cycle(g, no_rainbow_cycle(g), replace(desk_params(), mu=0.1),
+                                         seed=seed, max_steps=120)
+    held = []  # the counts held since the last (re)start
+    for entry in result.log.steps:
+        if entry["action"] == "restart":
+            held = []
+        elif entry["action"] == "switch":
+            assert entry["kept"] == (entry["after"] <= entry["conflicts"])
+            if held:
+                assert entry["conflicts"] == held[-1]
+            held.append(entry["after"] if entry["kept"] else entry["conflicts"])
+            assert held == sorted(held, reverse=True)
+    assert result.conflicts == held[-1]
+    assert any(not entry["kept"] for entry in switch_entries(result))
+
+
+def test_a_rejected_switching_leaves_the_next_step_on_the_same_cycle(monkeypatch):
+    calls = []  # (cycle the step starts from, cycle it built)
+
+    def recorded(g, chi, cycle, anchor, params, config):
+        built = sample_switching(g, chi, cycle, anchor, params, config)
+        calls.append((cycle, built.switching.new_cycle))
+        return built
+
+    monkeypatch.setattr(search, "sample_switching", recorded)
+    g, chi, params = n24_search_inputs()
+    result = find_rainbow_hamilton_cycle(g, chi, params, seed=2)
+    entries = switch_entries(result)
+    assert result.success and result.restarts == 0 and len(entries) == len(calls)
+    assert [entry["kept"] for entry in entries] == [True, True, True, True, False, False, True]
+    for i in range(len(entries) - 1):
+        held = calls[i][1] if entries[i]["kept"] else calls[i][0]
+        assert calls[i + 1][0] == held
+        if not entries[i]["kept"]:
+            assert entries[i + 1]["conflicts"] == entries[i]["conflicts"]
+    assert result.cycle == calls[-1][1]
+
+
+def test_the_target_conflict_is_a_seeded_draw():
+    g, chi, params = n24_search_inputs()
+    targets = {}
+    for seed in range(3):
+        result = find_rainbow_hamilton_cycle(g, chi, params, seed=seed)
+        entries = switch_entries(result)
+        for entry in entries:
+            draw = child_seed(seed, "search-target", entry["step"])
+            assert entry["target"] == draw % entry["conflicts"]
+        targets[seed] = [entry["target"] for entry in entries]
+        again = find_rainbow_hamilton_cycle(g, chi, params, seed=seed)
+        assert [entry["target"] for entry in switch_entries(again)] == targets[seed]
+    assert any(t != 0 for seed_targets in targets.values() for t in seed_targets)
+
+
+@pytest.mark.parametrize("spoil, message", [
+    ("switching_report", "non-switching"),
+    ("feasibility", "infeasible switching"),
+    ("off-anchor", "never add conflicts off the anchor"),
+])
+def test_a_rejected_switching_is_still_checked(monkeypatch, spoil, message):
+    # Only switchings that the search would reject are spoiled: either a
+    # builder report fails, or their cycle reads extra conflicts that avoid
+    # the anchor.  Each check must still fire.
+    inflated = set()
+
+    def spoiled(g, chi, cycle, anchor, params, config):
+        built = sample_switching(g, chi, cycle, anchor, params, config)
+        new = built.switching.new_cycle
+        if len(find_conflicts(new, chi, 1)) <= len(find_conflicts(cycle, chi, 1)):
+            return built
+        if spoil == "off-anchor":
+            inflated.add(id(new))
+            return built
+        return replace(built, **{spoil: CheckReport(False, {"stub": False})})
+
+    def inflating(cycle, chi, path_len):
+        found = find_conflicts(cycle, chi, path_len)
+        extra = Conflict(-1, (), (), "disjoint", 0, 0)  # avoids every anchor
+        return found + [extra] * len(cycle.edge_sequence) if id(cycle) in inflated else found
+
+    monkeypatch.setattr(search, "sample_switching", spoiled)
+    monkeypatch.setattr(search, "find_conflicts", inflating)
+    g, chi, params = n24_search_inputs()
+    with pytest.raises(AssertionError, match=message):
+        find_rainbow_hamilton_cycle(g, chi, params, seed=2)
+
+
+def test_sum_mod_30_on_k48_is_found_at_every_seed():
+    # colour = (sum of the edge's vertices) mod 30 gives 30 colours for the
+    # 24 edges of a cycle.  Keeping every switching found one of these three.
+    g = Hypergraph.complete(48, 3)
+    chi = Colouring(g, [sum(e) % 30 for e in g.edges])
+    params = Parameters(k=3, j=1, path_len=1, pairs_per_part=1,
+                        epsilon=0.2, mu=0.2, gamma=0.01, beta=0.5)
+    for seed in range(3):
+        result = find_rainbow_hamilton_cycle(g, chi, params, seed=seed, max_steps=500)
+        assert result.success, seed
+        assert isinstance(validate_loose_cycle(g, result.cycle.vertices), LooseCycle)
+        assert is_rainbow(chi, result.cycle.edge_sequence)
