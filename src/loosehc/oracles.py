@@ -79,12 +79,24 @@ def _loose_index(n: int, edges, banned=()) -> list[list[tuple]]:
     return index
 
 
-def _loose_walks(index, walk, used, end, remaining, tick, colour_of=None, colours=None):
+def _closing_index(index, end) -> dict[int, list[tuple]]:
+    """For each vertex v, the entries of index[v] whose edge holds `end`, in
+    index order: the only edges that can close a walk at v."""
+    closing: dict[int, list[tuple]] = {}
+    for mask, others, e in index[end]:
+        for v in others:
+            closing.setdefault(v, []).append((mask, tuple(u for u in e if u != v), e))
+    return closing
+
+
+def _loose_walks(index, closing, walk, used, end, remaining, tick, colour_of=None,
+                 colours=None):
     """Extend walk by `remaining` loose edges, yielding each finished walk.
 
     `used` is the bitmask of the walk's vertices.  Each new edge meets it
     only in the walk's current last vertex, and only the last edge contains
-    `end`, which closes the walk.  tick() counts a node; once it returns
+    `end`, which closes the walk; that edge comes from closing, the
+    _closing_index of index at end.  tick() counts a node; once it returns
     False the search stops.  With colour_of (edge -> colour) set, a branch
     that repeats a colour in `colours` is pruned, so only rainbow walks
     come out.
@@ -93,24 +105,26 @@ def _loose_walks(index, walk, used, end, remaining, tick, colour_of=None, colour
         return
     current = walk[-1]
     bit, end_bit = 1 << current, 1 << end
-    want_end = end_bit if remaining == 1 else 0
+    if remaining == 1:
+        for mask, others, e in closing.get(current, ()):
+            if mask & used != bit or (colour_of is not None and colour_of[e] in colours):
+                continue
+            yield (*walk, *(v for v in others if v != end), end)
+        return
     for mask, others, e in index[current]:
-        if mask & used != bit or mask & end_bit != want_end:
+        if mask & used != bit or mask & end_bit:
             continue
         if colour_of is not None:
             c = colour_of[e]
             if c in colours:
                 continue
-        if want_end:
-            yield (*walk, *(v for v in others if v != end), end)
-            continue
-        if colour_of is not None:
             colours.add(c)
         for i, nxt in enumerate(others):
             walk.extend(others[:i] + others[i + 1:])
             walk.append(nxt)
             yield from _loose_walks(
-                index, walk, used | mask, end, remaining - 1, tick, colour_of, colours
+                index, closing, walk, used | mask, end, remaining - 1, tick, colour_of,
+                colours,
             )
             del walk[-len(others):]
         if colour_of is not None:
@@ -147,8 +161,8 @@ def _cycle_walks(g: Hypergraph, clock: _BudgetClock, colour_of=None):
             interior = [v for v in anchor if v != entry and v != exit_]
             used_colours = {colour_of[anchor]} if colour_of is not None else None
             for walk in _loose_walks(
-                index, [entry, *interior, exit_], mask & ~(1 << entry),
-                entry, count - 1, clock.tick, colour_of, used_colours,
+                index, _closing_index(index, entry), [entry, *interior, exit_],
+                mask & ~(1 << entry), entry, count - 1, clock.tick, colour_of, used_colours,
             ):
                 yield walk[:-1]
             if clock.exhausted:
@@ -208,7 +222,8 @@ def find_loose_hamilton_path(
     banned = [1 << u | 1 << v for u, v in forbidden_pairs.edges if 0 <= u and v < g.n]
     index = _loose_index(g.n, g.edges, banned)
     length = (g.n - 1) // (g.k - 1)
-    for walk in _loose_walks(index, [a], 1 << a, b, length, lambda: True):
+    for walk in _loose_walks(index, _closing_index(index, b), [a], 1 << a, b, length,
+                             lambda: True):
         return LoosePath(walk, g.k)
     return None
 

@@ -119,17 +119,17 @@ class Splitting:
             raise InvalidInput("no edges of the host survive outside the interiors")
         kept_set = set(kept)
         arcs: list[tuple[int, ...]] = []
-        k = host.k
+        vertices, n, step = host.vertices, host.n, host.k - 1
         for start in kept:
             if (start - 1) % c in kept_set:
                 continue
             run = 1
             while (start + run) % c in kept_set:
                 run += 1
-            first = start * (k - 1)
-            arcs.append(
-                tuple(host.vertex_at(first + i) for i in range(run * (k - 1) + 1))
-            )
+            # Some edge holds an interior, so an arc is shorter than the
+            # host and wraps past its last vertex at most once.
+            first, end = start * step, (start + run) * step + 1
+            arcs.append(vertices[first:end] if end <= n else vertices[first:] + vertices[:end - n])
         return tuple(arcs)
 
     def index_of(self, path: LoosePath) -> int | None:

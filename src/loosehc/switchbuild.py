@@ -35,6 +35,7 @@ from .hypergraph import (
 from .rng import child_seed
 from .sampler import (
     BudgetExhausted,
+    SampledSplitting,
     accept_suitable,
     draw_viable_partition,
     sample_splitting,
@@ -249,6 +250,77 @@ def build_feasible_switching(
     return SwitchBuildResult(switching, switching_report, feasibility)
 
 
+def forced_rewiring(
+    sample: SampledSplitting, params: Parameters
+) -> list[tuple[int, ...]] | None:
+    """The edges that every switching of a drawn splitting adds, read from
+    its positions without growing its paths; None where they are not forced.
+
+    At k = 3 and t = m~ = 1 the splitting is three one-edge paths, and each
+    part of a transverse partition is three vertices, one from each path,
+    tiled by its own edge.  Take the paths in the splitting's order (the
+    anchor, then around the host from it), with entry e_i, middle x_i and
+    exit f_i in the host's orientation.  Then the switching removes the
+    three path edges and adds {e_i, x_(i+2), f_(i+1)} for i = 0, 1, 2, with
+    indices mod 3, whatever the partition draw.  Other (k, t, m~) give None.
+    """
+    if (params.k, params.path_len, params.pairs_per_part) != (3, 1, 1):
+        return None
+    cycle, start = sample.cycle, sample.anchor_start
+    c, n, vertices = cycle.edge_count, cycle.n, cycle.vertices
+    later = sorted(sample.sampled_positions, key=lambda p: (p - start) % c)
+    ends = [
+        (vertices[2 * p], vertices[2 * p + 1], vertices[(2 * p + 2) % n])
+        for p in (start, *later)
+    ]
+    return [
+        tuple(sorted((ends[i][0], ends[(i + 2) % 3][1], ends[(i + 1) % 3][2])))
+        for i in range(3)
+    ]
+
+
+def build_switching(
+    g: Hypergraph,
+    chi: Colouring,
+    sample: SampledSplitting,
+    params: Parameters,
+    config: PipelineConfig,
+    trial: int,
+) -> SwitchBuildResult | None:
+    """Gate one drawn splitting, the one sample_splitting drew under
+    (config.seed, trial), then draw one viable partition and build its
+    switching; None when the gate, the partition budget, the dicycle or a
+    part's tiling fails.
+
+    The gate is validate_splitting or, with config.require_events,
+    accept_suitable.  The partition and the build run on the child seeds
+    "pipeline-partition" at trial * 1000 and "pipeline-build" at trial.
+    """
+    host, anchor = sample.cycle, sample.anchor
+    if config.require_events:
+        splitting = accept_suitable(sample, g, chi, params).splitting
+    else:
+        splitting = validate_splitting(host, sample.all_paths, "balanced", params.path_len)
+    if not isinstance(splitting, Splitting):
+        return None
+    # trial * 1000 is the key the pinned seeded switchings and the
+    # benchmark digests were drawn under; another key moves every draw.
+    partition_seed = child_seed(config.seed, "pipeline-partition", trial * 1000)
+    try:
+        drawn = draw_viable_partition(
+            splitting, g, params, replace(config, seed=partition_seed)
+        )
+        if drawn is None:
+            return None
+        swapped, rerouting = drawn
+        return build_feasible_switching(
+            host, anchor, splitting, swapped, rerouting, g, chi, params,
+            replace(config, seed=child_seed(config.seed, "pipeline-build", trial)),
+        )
+    except (BudgetExhausted, TilingInfeasible):
+        return None
+
+
 def sample_switching(
     g: Hypergraph,
     chi: Colouring,
@@ -257,15 +329,14 @@ def sample_switching(
     params: Parameters,
     config: PipelineConfig | None = None,
 ) -> SwitchBuildResult | None:
-    """End-to-end: sample splittings around the anchor, build a viable
-    partition with its rerouting, and retile the parts into a switching.
+    """End-to-end: sample splittings around the anchor and build the
+    switching of the first one that passes build_switching.
 
     Each trial draws one splitting from the Bernoulli model conditioned on
     its size and on validate_splitting accepting it, so no draw is spent on
-    a sample of the wrong size or shape; validate_splitting (or, with
-    config.require_events, accept_suitable) still checks every draw.  It
-    then draws one viable partition and builds; a spent partition budget,
-    a missing dicycle or an untileable part moves on to the next trial.
+    a sample of the wrong size or shape; the gate in build_switching still
+    checks every draw.  A failed gate, a spent partition budget, a missing
+    dicycle or an untileable part moves on to the next trial.
 
     Returns None when the budgets run out; the caller decides what that
     means (the whole pipeline is a heuristic at desk scale).  Before the
@@ -282,28 +353,7 @@ def sample_switching(
             host, anchor, params.split_size, params.path_len, config.seed, trial,
             exact_size=True,
         )
-        if config.require_events:
-            splitting = accept_suitable(sample, g, chi, params).splitting
-        else:
-            splitting = validate_splitting(
-                host, sample.all_paths, "balanced", params.path_len
-            )
-        if not isinstance(splitting, Splitting):
-            continue
-        # trial * 1000 is the key the pinned seeded searches and the
-        # benchmark digests were drawn under; another key moves every draw.
-        partition_seed = child_seed(config.seed, "pipeline-partition", trial * 1000)
-        try:
-            drawn = draw_viable_partition(
-                splitting, g, params, replace(config, seed=partition_seed)
-            )
-            if drawn is None:
-                continue
-            swapped, rerouting = drawn
-            return build_feasible_switching(
-                host, anchor, splitting, swapped, rerouting, g, chi, params,
-                replace(config, seed=child_seed(config.seed, "pipeline-build", trial)),
-            )
-        except (BudgetExhausted, TilingInfeasible):
-            continue
+        built = build_switching(g, chi, sample, params, config, trial)
+        if built is not None:
+            return built
     return None

@@ -17,12 +17,13 @@ from loosehc.hypergraph import (
 )
 from loosehc.oracles import uniform_random_hamilton_cycle
 from loosehc.rng import child_seed, stream
+from loosehc.sampler import sample_splitting
 import loosehc.search as search
 import loosehc.splitting as splitting
 import loosehc.switchbuild as switchbuild
 from loosehc.search import Conflict, find_conflicts, find_rainbow_hamilton_cycle
 from loosehc.splitting import CheckReport
-from loosehc.switchbuild import sample_switching
+from loosehc.switchbuild import build_switching, forced_rewiring, sample_switching
 
 
 def desk_params():
@@ -148,23 +149,28 @@ def test_search_resolves_forced_conflict_by_switching():
 
 
 def test_search_passes_its_pipeline_config_to_each_step(monkeypatch):
-    # No cycle is rainbow: every step finds a conflict and asks for a
-    # switching, which the stand-in refuses.  Each step gets the module's
-    # PIPELINE with that step's child seed.
+    # No cycle is rainbow: every step finds a conflict and asks for the
+    # switchings of its draws, which the stand-in refuses, so each step
+    # spends its sample budget.  Each build gets the module's PIPELINE with
+    # that step's child seed, and the draw sample_splitting made under it.
     g = Hypergraph.complete(12, 3)
     received = []
 
-    def refuse(g, chi, cycle, anchor, params, config):
-        received.append(config)
+    def refuse(g, chi, sample, params, config, trial):
+        received.append((config, trial, sample))
         return None
 
-    monkeypatch.setattr(search, "sample_switching", refuse)
+    monkeypatch.setattr(search, "build_switching", refuse)
     result = find_rainbow_hamilton_cycle(g, no_rainbow_cycle(g), desk_params(),
                                          seed=1, max_steps=2)
     assert not result.success and result.restarts == 2
     assert [step["reason"] for step in result.log.steps] == ["budget-exhausted"] * 2
-    assert [c.seed for c in received] == [child_seed(1, "search-step", s) for s in range(2)]
-    assert all(replace(c, seed=search.PIPELINE.seed) == search.PIPELINE for c in received)
+    seeds = [c.seed for c, _, _ in received]
+    assert list(dict.fromkeys(seeds)) == [child_seed(1, "search-step", s) for s in range(2)]
+    assert all(replace(c, seed=search.PIPELINE.seed) == search.PIPELINE for c, _, _ in received)
+    for config, trial, sample in received:
+        assert sample == sample_splitting(sample.cycle, sample.anchor, 3, 1, config.seed, trial,
+                                          exact_size=True)
     assert search.PIPELINE == PipelineConfig(sample_budget=400)
 
 
@@ -174,7 +180,8 @@ def test_search_restarts_on_an_unmeetable_gate_without_sampling(monkeypatch):
     # restarts at once and names the gate.
     g = Hypergraph.complete(54, 3)
     calls = []
-    monkeypatch.setattr(search, "sample_switching", lambda *args: calls.append(args))
+    for name in ("sample_splitting", "build_switching"):
+        monkeypatch.setattr(search, name, lambda *args, **kwargs: calls.append(args))
     result = find_rainbow_hamilton_cycle(g, class_colouring(g, 0.05, 1), desk_params(),
                                          seed=1, max_steps=3)
     assert calls == []
@@ -226,12 +233,12 @@ PINNED_SEARCHES = {
     (12, 1): ((0, 5, 11, 1, 9, 4, 8, 2, 10, 3, 7, 6), 52, 1),
     (12, 6): ((0, 5, 1, 6, 3, 9, 11, 10, 7, 2, 8, 4), 1, 0),
     (12, 9): ((0, 5, 9, 8, 2, 4, 6, 3, 1, 10, 11, 7), 51, 1),
-    (24, 1): ((1, 0, 14, 17, 23, 10, 11, 20, 12, 18, 19, 15, 13, 8, 3, 22, 5, 6, 16, 4, 7,
-               2, 9, 21), 3, 0),
-    (24, 6): ((0, 22, 1, 18, 20, 16, 14, 11, 17, 7, 19, 5, 15, 10, 9, 2, 8, 13, 21, 4, 3,
-               6, 12, 23), 5, 0),
-    (24, 9): ((4, 0, 15, 12, 1, 3, 23, 2, 8, 11, 14, 18, 9, 7, 21, 17, 19, 13, 20, 22, 16,
-               5, 10, 6), 8, 0),
+    (24, 1): ((12, 0, 16, 15, 11, 6, 19, 20, 14, 17, 23, 4, 13, 8, 3, 22, 5, 18, 7, 2, 9,
+               21, 1, 10), 1, 0),
+    (24, 6): ((0, 4, 15, 10, 9, 13, 3, 23, 8, 6, 14, 22, 12, 16, 1, 18, 20, 5, 21, 2, 17, 7,
+               19, 11), 2, 0),
+    (24, 9): ((15, 0, 16, 13, 8, 11, 14, 22, 1, 18, 23, 2, 21, 5, 9, 3, 4, 6, 10, 12, 19, 7,
+               20, 17), 2, 0),
 }
 
 
@@ -276,7 +283,7 @@ def test_search_checks_each_switch_step_once(monkeypatch):
     g, chi, params = n24_search_inputs()
     result = find_rainbow_hamilton_cycle(g, chi, params, seed=6)
     switches = sum(1 for step in result.log.steps if step["action"] == "switch")
-    assert result.success and switches == 5
+    assert result.success and switches == 2
     assert calls == {"is_switching": switches, "is_feasible": switches}
 
 
@@ -286,11 +293,11 @@ def test_search_checks_each_switch_step_once(monkeypatch):
 ])
 def test_search_asserts_the_builders_reports(monkeypatch, report, message):
     def spoiled(*args):
-        built = sample_switching(*args)
+        built = build_switching(*args)
         failed = CheckReport(False, {"stub": False})
         return None if built is None else replace(built, **{report: failed})
 
-    monkeypatch.setattr(search, "sample_switching", spoiled)
+    monkeypatch.setattr(search, "build_switching", spoiled)
     g, chi, params = n24_search_inputs()
     with pytest.raises(AssertionError, match=message):
         find_rainbow_hamilton_cycle(g, chi, params, seed=6)
@@ -323,7 +330,8 @@ def test_search_answers_absent_when_the_colours_run_out(monkeypatch, n, k, chi_f
     chi = chi_for(g)
     params = replace(desk_params(), k=k)
     calls = []
-    monkeypatch.setattr(search, "sample_switching", lambda *args: calls.append(args))
+    for name in ("sample_splitting", "build_switching"):
+        monkeypatch.setattr(search, name, lambda *args, **kwargs: calls.append(args))
     result = find_rainbow_hamilton_cycle(g, chi, params, seed=3, max_steps=500)
     assert calls == []
     assert result.absent and not result.success
@@ -443,20 +451,30 @@ def test_the_held_conflict_count_never_rises_between_restarts(seed):
     assert any(not entry["kept"] for entry in switch_entries(result))
 
 
-def test_a_rejected_switching_leaves_the_next_step_on_the_same_cycle(monkeypatch):
-    calls = []  # (cycle the step starts from, cycle it built)
+def rejecting_search_inputs():
+    """K12 has one splitting per anchor, and under no_rainbow_cycle its
+    switching often adds conflicts, so a step's every draw can be worse."""
+    g = Hypergraph.complete(12, 3)
+    return g, no_rainbow_cycle(g), desk_params()
 
-    def recorded(g, chi, cycle, anchor, params, config):
-        built = sample_switching(g, chi, cycle, anchor, params, config)
-        calls.append((cycle, built.switching.new_cycle))
+
+def test_a_rejected_switching_leaves_the_next_step_on_the_same_cycle(monkeypatch):
+    calls = []  # (cycle the step starts from, cycle it built, trial it built)
+
+    def recorded(g, chi, sample, params, config, trial):
+        built = build_switching(g, chi, sample, params, config, trial)
+        calls.append((sample.cycle, built.switching.new_cycle, trial))
         return built
 
-    monkeypatch.setattr(search, "sample_switching", recorded)
-    g, chi, params = n24_search_inputs()
-    result = find_rainbow_hamilton_cycle(g, chi, params, seed=2)
+    monkeypatch.setattr(search, "build_switching", recorded)
+    g, chi, params = rejecting_search_inputs()
+    result = find_rainbow_hamilton_cycle(g, chi, params, seed=3, max_steps=12)
     entries = switch_entries(result)
-    assert result.success and result.restarts == 0 and len(entries) == len(calls)
-    assert [entry["kept"] for entry in entries] == [True, True, True, True, False, False, True]
+    assert not result.success and result.restarts == 0 and len(entries) == len(calls) == 12
+    assert [entry["kept"] for entry in entries] == [
+        False, False, False, True, False, True, True, False, False, True, False, True
+    ]
+    assert [entry["trial"] for entry in entries] == [trial for _, _, trial in calls]
     for i in range(len(entries) - 1):
         held = calls[i][1] if entries[i]["kept"] else calls[i][0]
         assert calls[i + 1][0] == held
@@ -491,9 +509,9 @@ def test_a_rejected_switching_is_still_checked(monkeypatch, spoil, message):
     # the anchor.  Each check must still fire.
     inflated = set()
 
-    def spoiled(g, chi, cycle, anchor, params, config):
-        built = sample_switching(g, chi, cycle, anchor, params, config)
-        new = built.switching.new_cycle
+    def spoiled(g, chi, sample, params, config, trial):
+        built = build_switching(g, chi, sample, params, config, trial)
+        new, cycle = built.switching.new_cycle, sample.cycle
         if len(find_conflicts(new, chi, 1)) <= len(find_conflicts(cycle, chi, 1)):
             return built
         if spoil == "off-anchor":
@@ -506,18 +524,61 @@ def test_a_rejected_switching_is_still_checked(monkeypatch, spoil, message):
         extra = Conflict(-1, (), (), "disjoint", 0, 0)  # avoids every anchor
         return found + [extra] * len(cycle.edge_sequence) if id(cycle) in inflated else found
 
-    monkeypatch.setattr(search, "sample_switching", spoiled)
+    monkeypatch.setattr(search, "build_switching", spoiled)
     monkeypatch.setattr(search, "find_conflicts", inflating)
-    g, chi, params = n24_search_inputs()
+    g, chi, params = rejecting_search_inputs()
     with pytest.raises(AssertionError, match=message):
-        find_rainbow_hamilton_cycle(g, chi, params, seed=2)
+        find_rainbow_hamilton_cycle(g, chi, params, seed=3, max_steps=12)
 
 
-def test_sum_mod_30_on_k48_is_found_at_every_seed():
-    # colour = (sum of the edge's vertices) mod 30 gives 30 colours for the
-    # 24 edges of a cycle.  Keeping every switching found one of these three.
+def test_a_wrong_forced_rewiring_is_caught_by_the_prediction(monkeypatch):
+    # A formula that predicts no change (each draw keeps its own edges)
+    # scores every draw at the held count; the first switching built under
+    # it adds conflicts, and the search's assert names the prediction.
+    monkeypatch.setattr(search, "forced_rewiring",
+                        lambda sample, params: [p.edges[0] for p in sample.all_paths])
+    g, chi, params = rejecting_search_inputs()
+    with pytest.raises(AssertionError, match="the forced rewiring predicted 10 conflicts"):
+        find_rainbow_hamilton_cycle(g, chi, params, seed=3, max_steps=12)
+
+
+def test_a_draw_whose_forced_edge_is_not_a_host_edge_is_never_built(monkeypatch):
+    # K24 keeps about 60% of its edges (the start cycle's included), so
+    # most draws would add a non-edge.  They are skipped before any build,
+    # and every step still asserts its prediction.
+    full = Hypergraph.complete(24, 3)
+    start = uniform_random_hamilton_cycle(full, 0)
+    keep = stream(0, "test-host").random(len(full.edges)) < 0.6
+    g = Hypergraph.from_edges(24, 3, [
+        e for e, kept in zip(full.edges, keep) if kept or e in start.edge_position
+    ])
+    params = replace(desk_params(), mu=0.1)
+    drawn, built = [], []
+
+    def drawing(*args, **kwargs):
+        sample = sample_splitting(*args, **kwargs)
+        drawn.append(forced_rewiring(sample, params))
+        return sample
+
+    def building(g, chi, sample, params, config, trial):
+        built.append(forced_rewiring(sample, params))
+        return build_switching(g, chi, sample, params, config, trial)
+
+    monkeypatch.setattr(search, "sample_splitting", drawing)
+    monkeypatch.setattr(search, "build_switching", building)
+    result = find_rainbow_hamilton_cycle(g, class_colouring(g, 0.1, 0), params, seed=0,
+                                         start=start, max_steps=20)
+    assert result.restarts == 0 and len(switch_entries(result)) == result.steps > 0
+    assert len(built) == result.steps
+    assert all(all(map(g.contains, edges)) for edges in built)
+    assert any(not all(map(g.contains, edges)) for edges in drawn)
+
+
+def assert_found_on_k48_sum_mod(q):
+    """colour = (sum of the edge's vertices) mod q gives q colours for the
+    24 edges of a cycle; the search finds a rainbow cycle at seeds 0-2."""
     g = Hypergraph.complete(48, 3)
-    chi = Colouring(g, [sum(e) % 30 for e in g.edges])
+    chi = Colouring(g, [sum(e) % q for e in g.edges])
     params = Parameters(k=3, j=1, path_len=1, pairs_per_part=1,
                         epsilon=0.2, mu=0.2, gamma=0.01, beta=0.5)
     for seed in range(3):
@@ -525,3 +586,13 @@ def test_sum_mod_30_on_k48_is_found_at_every_seed():
         assert result.success, seed
         assert isinstance(validate_loose_cycle(g, result.cycle.vertices), LooseCycle)
         assert is_rainbow(chi, result.cycle.edge_sequence)
+
+
+def test_sum_mod_30_on_k48_is_found_at_every_seed():
+    # Keeping every switching found one of these three.
+    assert_found_on_k48_sum_mod(30)
+
+
+def test_sum_mod_26_on_k48_is_found_at_every_seed():
+    # Building the first draw of each step found one of these three.
+    assert_found_on_k48_sum_mod(26)

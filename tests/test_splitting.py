@@ -6,6 +6,8 @@ from loosehc import splitting
 from loosehc.colouring import Colouring
 from loosehc.cycles import LooseCycle, LoosePath, Violation, increasing_path, validate_loose_cycle
 from loosehc.hypergraph import Hypergraph, InvalidInput
+from loosehc.oracles import uniform_random_hamilton_cycle
+from loosehc.sampler import sample_splitting
 from loosehc.splitting import (
     Rerouting,
     Splitting,
@@ -82,6 +84,42 @@ def test_host_arcs():
     s = h8_split()
     arcs = {tuple(a) for a in s.host_arcs}
     assert arcs == {(2, 3, 4), (6, 7, 0)}
+
+
+def host_arcs_vertex_by_vertex(s: Splitting) -> tuple[tuple[int, ...], ...]:
+    """The arcs built one vertex_at call per vertex: the reference for the
+    sliced construction."""
+    host, c, step = s.host, s.host.edge_count, s.host.k - 1
+    kept = {i for i in range(c) if s.interiors.isdisjoint(host.edge_sequence[i])}
+    arcs = []
+    for start in sorted(kept):
+        if (start - 1) % c in kept:
+            continue
+        run = 1
+        while (start + run) % c in kept:
+            run += 1
+        arcs.append(tuple(host.vertex_at(start * step + i) for i in range(run * step + 1)))
+    return tuple(arcs)
+
+
+@pytest.mark.parametrize("n, k, length, count", [
+    (12, 3, 1, 3), (24, 3, 1, 3), (24, 3, 2, 4), (30, 4, 1, 3), (40, 5, 2, 2),
+])
+def test_host_arcs_equal_the_vertex_by_vertex_arcs(n, k, length, count):
+    # Random splittings at each seed, arcs that wrap past the host's last
+    # vertex included.
+    g = Hypergraph.complete(n, k)
+    wrapped = 0
+    for seed in range(40):
+        host = uniform_random_hamilton_cycle(g, seed)
+        anchor = increasing_path(host, host.edge_sequence[seed % host.edge_count], length)
+        sample = sample_splitting(host, anchor, count, length, seed, exact_size=True)
+        s = validate_splitting(host, sample.all_paths, "balanced", length)
+        assert isinstance(s, Splitting)
+        assert s.host_arcs == host_arcs_vertex_by_vertex(s)
+        wrapped += any(host.vertices.index(a[0]) > host.vertices.index(a[-1])
+                       for a in s.host_arcs)
+    assert wrapped > 0
 
 
 def test_validate_rerouting_h8_pairings():

@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 
 import pytest
 
@@ -6,7 +7,9 @@ from loosehc import colouring, sampler, splitting, switchbuild, tiling
 from loosehc.colouring import Colouring
 from loosehc.cycles import LoosePath, increasing_path, validate_loose_cycle
 from loosehc.hypergraph import Hypergraph, InvalidInput, Parameters, UnmeetableGate
+from loosehc.oracles import uniform_random_hamilton_cycle
 from loosehc.rng import child_seed
+from loosehc.search import find_conflicts, rewired_conflict_count
 from loosehc.sampler import BudgetExhausted, sample_splitting
 from loosehc.splitting import (
     CheckReport,
@@ -21,6 +24,8 @@ from loosehc.switchbuild import (
     PipelineConfig,
     build_conflict_graph,
     build_feasible_switching,
+    build_switching,
+    forced_rewiring,
     part_labels,
     sample_switching,
 )
@@ -577,3 +582,64 @@ def test_a_part_failure_is_reraised_naming_the_part(monkeypatch):
         "part-1:ham-path", "no conflict-free spanning path in block 0"
     )
     assert err.value.__cause__.stage == "ham-path" and len(calls) == 2
+
+
+@pytest.mark.parametrize("n", [24, 48])
+def test_every_built_switching_adds_the_forced_rewiring(n):
+    # At k = 3 and t = m~ = 1 the partition draw cannot change what a
+    # splitting's switching adds: over several splittings and many partition
+    # seeds each, every build adds exactly the predicted edges, removes the
+    # splitting's own, and lands on the predicted conflict count.
+    g = Hypergraph.complete(n, 3)
+    chi = Colouring(g, [sum(e) % (n // 4) for e in g.edges])
+    params = desk_params()
+    built_count = 0
+    for host_seed in range(3):
+        host = uniform_random_hamilton_cycle(g, host_seed)
+        counts = Counter(chi.colours(host.edge_sequence))
+        held = len(find_conflicts(host, chi, 1))
+        for trial in range(4):
+            anchor = increasing_path(host, host.edge_sequence[5 * trial % host.edge_count], 1)
+            sample = sample_splitting(host, anchor, 3, 1, host_seed, trial, exact_size=True)
+            added = forced_rewiring(sample, params)
+            removed = [p.edges[0] for p in sample.all_paths]
+            predicted = rewired_conflict_count(
+                counts, held, chi.colours(removed), chi.colours(added)
+            )
+            for partition_seed in range(8):
+                built = build_switching(g, chi, sample, params,
+                                        PipelineConfig(seed=partition_seed), partition_seed)
+                assert built is not None
+                new_cycle = built.switching.new_cycle
+                new_edges, old_edges = set(new_cycle.edge_sequence), set(host.edge_sequence)
+                assert new_edges - old_edges == set(added)
+                assert old_edges - new_edges == set(removed)
+                assert len(find_conflicts(new_cycle, chi, 1)) == predicted
+                built_count += 1
+    assert built_count == 3 * 4 * 8
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(path_len=2), dict(pairs_per_part=2), dict(k=4, j=1),
+], ids=["t2", "mtilde2", "k4"])
+def test_the_rewiring_is_forced_only_at_k3_t1_mtilde1(overrides):
+    g = Hypergraph.complete(24, 3)
+    host = validate_loose_cycle(g, range(24))
+    anchor = increasing_path(host, host.edge_sequence[0], 1)
+    sample = sample_splitting(host, anchor, 3, 1, 0, exact_size=True)
+    assert forced_rewiring(sample, desk_params()) is not None
+    assert forced_rewiring(sample, desk_params(**overrides)) is None
+
+
+def test_sample_switching_builds_its_first_building_draw():
+    # sample_switching is the draw loop around build_switching: its result
+    # is the build of the first trial whose draw passes, under the same keys.
+    g = Hypergraph.complete(24, 3)
+    host = uniform_random_hamilton_cycle(g, 7)
+    anchor = increasing_path(host, host.edge_sequence[0], 1)
+    chi, params = Colouring.injective(g), desk_params()
+    config = PipelineConfig(seed=7, sample_budget=400)
+    sample = sample_splitting(host, anchor, 3, 1, 7, 0, exact_size=True)
+    direct = build_switching(g, chi, sample, params, config, 0)
+    assert direct is not None
+    assert sample_switching(g, chi, host, anchor, params, config).switching == direct.switching
