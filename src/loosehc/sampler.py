@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain, combinations, repeat
 from math import comb, sqrt
+from typing import Iterator
 
 import numpy as np
 
@@ -45,6 +46,9 @@ from .splitting import (
     validate_rerouting,
     validate_splitting,
 )
+
+
+CUT_BATCH = 16  # cut sets distinct_exact_splittings draws per generator call
 
 
 class BudgetExhausted(Exception):
@@ -166,17 +170,68 @@ def sample_splitting(
     start = _anchor_start(cycle, anchor, path_len)
     gen = stream(seed, "edge-sample", trial)
     if exact_size:
-        refusal = host_too_small(c, path_count, path_len)
-        if refusal is not None:
-            raise refusal
-        slots = c - path_count * path_len - 1
-        cuts = sorted(gen.choice(slots, path_count - 1, replace=False, shuffle=False) + 1)
-        positions = tuple(sorted(
-            (start + int(cut) + i * path_len) % c for i, cut in enumerate(cuts, start=1)
-        ))
+        slots = _cut_slots(c, path_count, path_len)
+        cuts = gen.choice(slots, path_count - 1, replace=False, shuffle=False) + 1
+        positions = _cut_positions(sorted(cuts.tolist()), start, c, path_len)
     else:
         positions = tuple(np.flatnonzero(gen.random(c) < p).tolist())
     return SampledSplitting(cycle, anchor, positions, path_len, start)
+
+
+def _cut_slots(c: int, path_count: int, path_len: int) -> int:
+    """The interior slots an exact-size splitting's cuts are drawn among;
+    a host too small for any such splitting raises host-too-small."""
+    refusal = host_too_small(c, path_count, path_len)
+    if refusal is not None:
+        raise refusal
+    return c - path_count * path_len - 1
+
+
+def _cut_positions(cuts, start: int, c: int, path_len: int) -> tuple[int, ...]:
+    """The sampled positions of an exact-size splitting whose cuts, in
+    ascending order and counted from 1, are given: path i starts
+    cut_i + i*path_len edges after the anchor's start."""
+    return tuple(sorted(
+        (start + cut + i * path_len) % c for i, cut in enumerate(cuts, start=1)
+    ))
+
+
+def distinct_exact_splittings(
+    cycle: LooseCycle,
+    anchor: LoosePath,
+    path_count: int,
+    path_len: int,
+    seed: int,
+) -> Iterator[tuple[int, SampledSplitting]]:
+    """Distinct exact-size splittings around the anchor, as (trial, draw)
+    with trial 0, 1, ..., all from the one stream (seed, "splitting-window").
+
+    Each draw has the law of sample_splitting(..., exact_size=True), and a
+    draw equal to an earlier one is skipped, so each splitting comes out
+    uniformly among those not yet out.  The draws stop once all
+    C(c - path_count*path_len - 1, path_count - 1) splittings are out.  The
+    anchor and the host size are refused as sample_splitting refuses them,
+    before the stream opens.
+    """
+    c = cycle.edge_count
+    start = _anchor_start(cycle, anchor, path_len)
+    slots = _cut_slots(c, path_count, path_len)
+    total = comb(slots, path_count - 1)
+    gen = stream(seed, "splitting-window")
+    seen: set[tuple[int, ...]] = set()
+    while len(seen) < total:
+        # The first path_count - 1 slots of a uniform order of the slots
+        # are a uniform set of cuts; one call orders CUT_BATCH rows.
+        rows = gen.random((CUT_BATCH, slots)).argsort(axis=1)[:, :path_count - 1]
+        for row in (np.sort(rows, axis=1) + 1).tolist():
+            cuts = tuple(row)
+            if cuts in seen:
+                continue
+            trial = len(seen)
+            seen.add(cuts)
+            yield trial, SampledSplitting(
+                cycle, anchor, _cut_positions(cuts, start, c, path_len), path_len, start
+            )
 
 
 @dataclass

@@ -13,11 +13,11 @@ the focused swap walk of Harris and Srinivasan (the Lovász Local Lemma on
 permutations, SODA 2014), applied to the paper's move, which is itself
 unchanged.  Where the move is forced (k = 3, t = m~ = 1, where each
 splitting has one switching, whatever the partition draw), a step also
-picks the move the walk would: it scores its seeded splitting draws by
-the conflict count their forced rewiring leaves, read from the colour
-counts of the cycle in hand, and builds the first draw that lowers the
-count, or else the lowest of the first WINDOW draws.  The built cycle's
-count must equal the prediction.  Each splitting draw is a disjoint
+picks the move the walk would: it draws WINDOW distinct splittings from
+one seeded stream, scores each by the conflict count its forced rewiring
+leaves, read from the colour counts of the cycle in hand, and builds the
+lowest, or the next lowest when that one does not build.  The built
+cycle's count must equal the prediction.  Each splitting draw is a disjoint
 splitting of the size the switching needs, and each partition draw
 already meets the exit quota, so no step spends a draw on a splitting of
 the wrong size or shape, or on a partition that misses the quota.  The
@@ -34,6 +34,7 @@ rainbow cycle, and the search answers absent at once.
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from operator import itemgetter
 from typing import Iterator
 
@@ -42,11 +43,11 @@ from .cycles import LooseCycle, LoosePath, Violation, increasing_path, validate_
 from .hypergraph import Hypergraph, InvalidInput, Parameters, PipelineConfig, UnmeetableGate
 from .oracles import uniform_random_hamilton_cycle
 from .rng import child_seed
-from .sampler import SampledSplitting, sample_splitting
-from .switchbuild import build_switching, forced_rewiring
+from .sampler import SampledSplitting, distinct_exact_splittings, sample_splitting
+from .switchbuild import build_switching, forced_rewiring, rewiring_is_forced
 
 STALL_STEPS = 50  # switch steps without a new conflict low before a redraw
-WINDOW = 10  # scored draws a step compares when none lowers the count
+WINDOW = 10  # scored draws a step compares before it builds the lowest
 # Each switch step runs on a copy of this config with its own child seed.
 PIPELINE = PipelineConfig(sample_budget=400)
 
@@ -125,8 +126,11 @@ def rewired_conflict_count(
     conflict count, held.  A colour met b times whose count moves by d
     changes the number of equal-coloured pairs by
     C(b + d, 2) - C(b, 2) = d(2b + d - 1)/2."""
-    change = Counter(added)
-    change.subtract(removed)
+    change: dict[int, int] = {}
+    for colour in added:
+        change[colour] = change.get(colour, 0) + 1
+    for colour in removed:
+        change[colour] = change.get(colour, 0) - 1
     for colour, d in change.items():
         held += d * (2 * counts[colour] + d - 1) // 2
     return held
@@ -140,46 +144,51 @@ def _draws_to_build(
     params: Parameters,
     config: PipelineConfig,
     held: int,
-) -> Iterator[tuple[int, SampledSplitting, int | None]]:
-    """The step's seeded splitting draws in the order it tries to build
-    them, each as (trial, draw, predicted conflict count).
+) -> Iterator[tuple[int, SampledSplitting, int | None, int]]:
+    """The step's splitting draws in the order it tries to build them, each
+    as (trial, draw, predicted conflict count, draws scored so far).
 
-    Where forced_rewiring gives the edges a draw's switching adds, each
-    draw is scored before anything is built: its predicted count comes
-    from the held cycle's colour counts, with the three path edges out and
-    the three forced edges in, and a draw with a forced edge outside the
-    host is skipped.  A draw that lowers the held count comes out at once;
-    otherwise every WINDOW scored draws give up their lowest, the earliest
-    on ties, and a budget that ends mid-window gives up the lowest so far.
-    Elsewhere nothing is scored: every draw comes out, in order, with None.
+    Where the rewiring is forced, the draws are distinct_exact_splittings
+    under config.seed, at most config.sample_budget of them, and each is
+    scored before anything is built: its predicted count comes from the
+    held cycle's colour counts, with the three path edges out and the three
+    forced edges in, and a draw with a forced edge outside the host is
+    skipped.  Every WINDOW scored draws come out lowest first, the earliest
+    on ties, and so do the scored draws left when the splittings or the
+    budget run out.  Elsewhere nothing is scored: sample_splitting's draws
+    at trials 0, 1, ... come out in order, each with None and 0.
     """
+    if not rewiring_is_forced(params):
+        for trial in range(config.sample_budget):
+            sample = sample_splitting(
+                cycle, anchor, params.split_size, params.path_len, config.seed, trial,
+                exact_size=True,
+            )
+            yield trial, sample, None, 0
+        return
     counts = Counter(chi.colours(cycle.edge_sequence))
-    by_count = itemgetter(2)
-    window: list[tuple[int, SampledSplitting, int]] = []
-    for trial in range(config.sample_budget):
-        sample = sample_splitting(
-            cycle, anchor, params.split_size, params.path_len, config.seed, trial,
-            exact_size=True,
-        )
+
+    def predicted_count(sample: SampledSplitting) -> int | None:
         added = forced_rewiring(sample, params)
-        if added is None:
-            yield trial, sample, None
-            continue
         if not all(map(g.contains, added)):
-            continue
+            return None
         positions = (sample.anchor_start, *sample.sampled_positions)
         removed = chi.colours([cycle.edge_sequence[p] for p in positions])
-        predicted = rewired_conflict_count(counts, held, removed, chi.colours(added))
-        draw = (trial, sample, predicted)
-        if predicted < held:
-            yield draw
-            continue
-        window.append(draw)
-        if len(window) == WINDOW:
-            yield min(window, key=by_count)
-            window = []
-    if window:
-        yield min(window, key=by_count)
+        return rewired_conflict_count(counts, held, removed, chi.colours(added))
+
+    draws = distinct_exact_splittings(
+        cycle, anchor, params.split_size, params.path_len, config.seed
+    )
+    scored = (
+        (trial, sample, predicted)
+        for trial, sample in islice(draws, config.sample_budget)
+        if (predicted := predicted_count(sample)) is not None
+    )
+    done = 0
+    while window := sorted(islice(scored, WINDOW), key=itemgetter(2)):
+        done += len(window)
+        for trial, sample, predicted in window:
+            yield trial, sample, predicted, done
 
 
 def find_rainbow_hamilton_cycle(
@@ -200,18 +209,20 @@ def find_rainbow_hamilton_cycle(
     returned success is re-validated, whether its cycle came from the last
     step or an earlier one.
 
-    A step's splittings are the seeded draws sample_splitting makes under
-    the step's config at trials 0, 1, ..., and each is built through
-    build_switching.  Where forced_rewiring gives the edges a draw's
-    switching adds (k = 3, t = m~ = 1), the step scores its draws before
-    building any: each gets the conflict count its switching would leave,
-    and a draw that would add a non-edge is skipped.  It builds the first
-    draw that lowers the count, or else the lowest of the first WINDOW
-    scored draws, the earliest on ties, and asserts that the built cycle's
-    count equals the prediction.  A worse switching is still built, and
-    then rejected.  Elsewhere it builds the first draw that passes its
-    gate, as sample_switching does.  A draw that fails its gate or does not
-    build is passed over.
+    Each of a step's splittings is built through build_switching under the
+    step's config.  Where forced_rewiring gives the edges a draw's
+    switching adds (k = 3, t = m~ = 1), the splittings are the distinct
+    ones distinct_exact_splittings draws from the step's one stream, and
+    the step scores WINDOW of them before building any: each gets the
+    conflict count its switching would leave, and a draw that would add a
+    non-edge is skipped.  It tries them lowest first, the earliest on ties,
+    builds the first that builds, and asserts that the built cycle's count
+    equals the prediction; a window that does not build is followed by the
+    next.  A worse switching is still built, and then rejected.  Elsewhere
+    the splittings are the draws sample_splitting makes at trials 0, 1,
+    ..., and the step builds the first that passes its gate, as
+    sample_switching does.  A draw that fails its gate or does not build is
+    passed over.
 
     Before the first draw it runs PIPELINE.refusal once: parameters of
     another uniformity are raised, and an UnmeetableGate turns every step
@@ -221,14 +232,18 @@ def find_rainbow_hamilton_cycle(
     "stalled" after STALL_STEPS switch steps, kept or not, without a new
     low in the conflict count since the last (re)start.  Each switch entry
     records the target's index in the conflict list ("target"), the trial
-    whose draw was built ("trial"), the conflict count of the cycle in
-    hand ("conflicts") and of the built cycle ("after"), and whether the
-    built cycle was kept ("kept").
+    whose draw was built ("trial"), the number of draws the step scored
+    ("scored", 0 where nothing is scored), the conflict count of the cycle
+    in hand ("conflicts") and of the built cycle ("after"), and whether
+    the built cycle was kept ("kept").  A negative max_steps is refused;
+    0 checks the start cycle only.
 
     When chi has fewer colours than a cycle has edges, n/(k-1), no cycle
     is rainbow: the search draws its start cycle, logs the proof
     ("colour-count") and returns with absent set, before any switch step.
     """
+    if max_steps < 0:
+        raise InvalidInput(f"max_steps must be >= 0, got {max_steps}")
     if g.n % (g.k - 1) != 0:
         raise InvalidInput(f"(k-1) = {g.k - 1} must divide n = {g.n}")
     if start is not None and isinstance(validate_loose_cycle(g, start.vertices), Violation):
@@ -259,7 +274,7 @@ def find_rainbow_hamilton_cycle(
                 cycle, cycle.edge_sequence[target.anchor_start], params.path_len
             )
             cfg = replace(PIPELINE, seed=child_seed(seed, "search-step", step))
-            for trial, sample, predicted in _draws_to_build(
+            for trial, sample, predicted, scored in _draws_to_build(
                 g, chi, cycle, anchor, params, cfg, len(conflicts)
             ):
                 built = build_switching(g, chi, sample, params, cfg, trial)
@@ -294,7 +309,7 @@ def find_rainbow_hamilton_cycle(
             kept = len(new_conflicts) <= len(conflicts)
             log.note(
                 step=step, action="switch", kept=kept, target=index, trial=trial,
-                conflicts=len(conflicts), after=len(new_conflicts),
+                scored=scored, conflicts=len(conflicts), after=len(new_conflicts),
                 colour=target.colour, kind=target.kind,
             )
             if kept:

@@ -250,6 +250,12 @@ def build_feasible_switching(
     return SwitchBuildResult(switching, switching_report, feasibility)
 
 
+def rewiring_is_forced(params: Parameters) -> bool:
+    """Whether every switching of a drawn splitting adds the same edges,
+    which forced_rewiring reads: k = 3 and t = m~ = 1."""
+    return (params.k, params.path_len, params.pairs_per_part) == (3, 1, 1)
+
+
 def forced_rewiring(
     sample: SampledSplitting, params: Parameters
 ) -> list[tuple[int, ...]] | None:
@@ -264,7 +270,7 @@ def forced_rewiring(
     three path edges and adds {e_i, x_(i+2), f_(i+1)} for i = 0, 1, 2, with
     indices mod 3, whatever the partition draw.  Other (k, t, m~) give None.
     """
-    if (params.k, params.path_len, params.pairs_per_part) != (3, 1, 1):
+    if not rewiring_is_forced(params):
         return None
     cycle, start = sample.cycle, sample.anchor_start
     c, n, vertices = cycle.edge_count, cycle.n, cycle.vertices

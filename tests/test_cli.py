@@ -340,6 +340,23 @@ def test_manifest_written_on_error_exit(files, capsys, tmp_path):
     assert "error:" in err and "manifest:" in err
 
 
+def test_search_refuses_a_negative_step_budget(files, capsys, tmp_path):
+    # K12 under colour = edge index mod 8 needs switch steps.  A negative
+    # budget is refused with the manifest; a budget of 0 checks the start
+    # cycle only.
+    (files / "mod8.col").write_text("".join(f"{i % 8}\n" for i in range(220)))
+    manifest = tmp_path / "manifest.json"
+    search = ["search", "--hg", files / "g.hg", "--col", files / "mod8.col",
+              "--t", 1, "--mtilde", 1, "--seed", 2]
+    code, records, err = run(capsys, "--manifest", manifest, *search, "--max-steps", -5)
+    assert code == 2 and records == []
+    assert "error: max_steps must be >= 0, got -5" in err and "manifest:" in err
+    assert json.loads(manifest.read_text())["exit_code"] == 2
+    code, records, _ = run(capsys, *search, "--max-steps", 0)
+    assert code == 3
+    assert (records[0]["status"], records[0]["steps"]) == ("budget-exhausted", 0)
+
+
 @pytest.mark.parametrize("make_hg, error", [
     (lambda path: path.mkdir(), "Is a directory"),
     (lambda path: path.write_bytes(b"3 6\n\xff\xfe 1 2\n"), "codec can't decode"),

@@ -27,6 +27,7 @@ from loosehc.sampler import (
     build_aux_digraph,
     build_viable_partition,
     check_events,
+    distinct_exact_splittings,
     exact_binomial_hit,
     estimate_suitable_fraction,
     partition_conditions,
@@ -216,6 +217,49 @@ def test_exact_size_draws_reach_every_disjoint_splitting_and_nothing_else(
     assert drawn == valid
 
 
+@pytest.mark.parametrize("n, path_count, path_len", [(12, 3, 1), (24, 3, 1), (24, 3, 2),
+                                                     (20, 4, 1)])
+def test_distinct_draws_are_every_splitting_once_from_one_stream(
+    monkeypatch, n, path_count, path_len
+):
+    # The draws run out after the C(c - m*t - 1, m - 1) splittings, each
+    # drawn once, at trials 0, 1, ..., and each a balanced splitting.
+    _, cycle = complete_cycle(n)
+    anchor = increasing_path(cycle, cycle.edge_sequence[3], path_len)
+    keys = []
+    real_stream = sampler.stream
+    monkeypatch.setattr(sampler, "stream", lambda *key: keys.append(key) or real_stream(*key))
+    draws = list(distinct_exact_splittings(cycle, anchor, path_count, path_len, seed=9))
+    c = cycle.edge_count
+    assert [trial for trial, _ in draws] == list(range(comb(c - path_count * path_len - 1,
+                                                            path_count - 1)))
+    assert len({sample.sampled_positions for _, sample in draws}) == len(draws)
+    for _, sample in draws:
+        assert sample.size == path_count and sample.anchor_start == 3
+        assert isinstance(
+            validate_splitting(cycle, sample.all_paths, "balanced", path_len), Splitting
+        )
+    assert keys == [(9, "splitting-window")]
+
+
+def test_the_first_distinct_draw_is_uniform_over_the_splittings():
+    # On K24's twelve cycle edges an anchor has C(12 - 3 - 1, 2) = 28
+    # splittings.  Over 2,800 seeds the first draw hits each about 100
+    # times; the chi-square statistic stays below its 0.999 quantile at
+    # 27 degrees of freedom, 55.48.
+    from scipy.stats import chi2
+
+    _, cycle = complete_cycle(24)
+    anchor = increasing_path(cycle, cycle.edge_sequence[5], 1)
+    firsts = Counter(
+        next(distinct_exact_splittings(cycle, anchor, 3, 1, seed))[1].sampled_positions
+        for seed in range(2800)
+    )
+    assert len(firsts) == 28
+    statistic = sum((hits - 100) ** 2 / 100 for hits in firsts.values())
+    assert statistic < chi2.ppf(0.999, 27) < 55.5
+
+
 def test_exact_size_draw_refuses_a_host_too_small():
     # Three disjoint one-edge paths need six cycle edges; K10's cycle has five.
     _, cycle = complete_cycle(10)
@@ -223,6 +267,9 @@ def test_exact_size_draw_refuses_a_host_too_small():
     message = "host-too-small: 3 disjoint paths of 1 edges need 6 cycle edges, the host has 5"
     with pytest.raises(InvalidInput) as err:
         sample_splitting(cycle, anchor, 3, 1, seed=0, exact_size=True)
+    assert str(err.value) == message
+    with pytest.raises(InvalidInput) as err:
+        next(distinct_exact_splittings(cycle, anchor, 3, 1, seed=0))
     assert str(err.value) == message
     assert host_too_small(5, 3, 1) is not None and host_too_small(6, 3, 1) is None
 
@@ -285,6 +332,18 @@ def test_sample_splitting_refuses_an_anchor_off_the_cycle(monkeypatch, vertices,
     monkeypatch.setattr(sampler, "stream", lambda *key: keys.append(key))
     with pytest.raises(InvalidInput) as err:
         sample_splitting(cycle, LoosePath(vertices, 3), 3, 1, seed=0, exact_size=exact_size)
+    assert str(err.value) == message
+    assert keys == []
+
+
+@OFF_CYCLE_ANCHORS
+def test_distinct_draws_refuse_an_anchor_off_the_cycle_before_any_stream(monkeypatch, vertices,
+                                                                        message):
+    _, cycle = complete_cycle(12)
+    keys = []
+    monkeypatch.setattr(sampler, "stream", lambda *key: keys.append(key))
+    with pytest.raises(InvalidInput) as err:
+        next(distinct_exact_splittings(cycle, LoosePath(vertices, 3), 3, 1, seed=0))
     assert str(err.value) == message
     assert keys == []
 

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from loosehc.hypergraph import (
 )
 from loosehc.oracles import uniform_random_hamilton_cycle
 from loosehc.rng import child_seed, stream
-from loosehc.sampler import sample_splitting
+from loosehc.sampler import distinct_exact_splittings, sample_splitting
+import loosehc.sampler as sampler
 import loosehc.search as search
 import loosehc.splitting as splitting
 import loosehc.switchbuild as switchbuild
@@ -151,8 +153,9 @@ def test_search_resolves_forced_conflict_by_switching():
 def test_search_passes_its_pipeline_config_to_each_step(monkeypatch):
     # No cycle is rainbow: every step finds a conflict and asks for the
     # switchings of its draws, which the stand-in refuses, so each step
-    # spends its sample budget.  Each build gets the module's PIPELINE with
-    # that step's child seed, and the draw sample_splitting made under it.
+    # runs out of draws.  Each build gets the module's PIPELINE with that
+    # step's child seed, and an anchor's one K12 splitting, the draw
+    # sample_splitting makes too.
     g = Hypergraph.complete(12, 3)
     received = []
 
@@ -180,7 +183,7 @@ def test_search_restarts_on_an_unmeetable_gate_without_sampling(monkeypatch):
     # restarts at once and names the gate.
     g = Hypergraph.complete(54, 3)
     calls = []
-    for name in ("sample_splitting", "build_switching"):
+    for name in ("sample_splitting", "distinct_exact_splittings", "build_switching"):
         monkeypatch.setattr(search, name, lambda *args, **kwargs: calls.append(args))
     result = find_rainbow_hamilton_cycle(g, class_colouring(g, 0.05, 1), desk_params(),
                                          seed=1, max_steps=3)
@@ -233,12 +236,12 @@ PINNED_SEARCHES = {
     (12, 1): ((0, 5, 11, 1, 9, 4, 8, 2, 10, 3, 7, 6), 52, 1),
     (12, 6): ((0, 5, 1, 6, 3, 9, 11, 10, 7, 2, 8, 4), 1, 0),
     (12, 9): ((0, 5, 9, 8, 2, 4, 6, 3, 1, 10, 11, 7), 51, 1),
-    (24, 1): ((12, 0, 16, 15, 11, 6, 19, 20, 14, 17, 23, 4, 13, 8, 3, 22, 5, 18, 7, 2, 9,
+    (24, 1): ((12, 0, 13, 8, 3, 22, 5, 6, 16, 15, 11, 4, 19, 20, 14, 17, 23, 18, 7, 2, 9,
                21, 1, 10), 1, 0),
-    (24, 6): ((0, 4, 15, 10, 9, 13, 3, 23, 8, 6, 14, 22, 12, 16, 1, 18, 20, 5, 21, 2, 17, 7,
-               19, 11), 2, 0),
-    (24, 9): ((15, 0, 16, 13, 8, 11, 14, 22, 1, 18, 23, 2, 21, 5, 9, 3, 4, 6, 10, 12, 19, 7,
-               20, 17), 2, 0),
+    (24, 6): ((0, 4, 15, 10, 9, 13, 3, 16, 17, 7, 19, 2, 1, 18, 20, 5, 21, 11, 8, 6, 14, 22,
+               12, 23), 2, 0),
+    (24, 9): ((15, 0, 16, 6, 1, 7, 4, 18, 19, 3, 8, 11, 14, 13, 10, 22, 23, 2, 21, 5, 9, 12,
+               20, 17), 1, 0),
 }
 
 
@@ -330,7 +333,7 @@ def test_search_answers_absent_when_the_colours_run_out(monkeypatch, n, k, chi_f
     chi = chi_for(g)
     params = replace(desk_params(), k=k)
     calls = []
-    for name in ("sample_splitting", "build_switching"):
+    for name in ("sample_splitting", "distinct_exact_splittings", "build_switching"):
         monkeypatch.setattr(search, name, lambda *args, **kwargs: calls.append(args))
     result = find_rainbow_hamilton_cycle(g, chi, params, seed=3, max_steps=500)
     assert calls == []
@@ -555,16 +558,16 @@ def test_a_draw_whose_forced_edge_is_not_a_host_edge_is_never_built(monkeypatch)
     params = replace(desk_params(), mu=0.1)
     drawn, built = [], []
 
-    def drawing(*args, **kwargs):
-        sample = sample_splitting(*args, **kwargs)
-        drawn.append(forced_rewiring(sample, params))
-        return sample
+    def drawing(*args):
+        for trial, sample in distinct_exact_splittings(*args):
+            drawn.append(forced_rewiring(sample, params))
+            yield trial, sample
 
     def building(g, chi, sample, params, config, trial):
         built.append(forced_rewiring(sample, params))
         return build_switching(g, chi, sample, params, config, trial)
 
-    monkeypatch.setattr(search, "sample_splitting", drawing)
+    monkeypatch.setattr(search, "distinct_exact_splittings", drawing)
     monkeypatch.setattr(search, "build_switching", building)
     result = find_rainbow_hamilton_cycle(g, class_colouring(g, 0.1, 0), params, seed=0,
                                          start=start, max_steps=20)
@@ -572,6 +575,83 @@ def test_a_draw_whose_forced_edge_is_not_a_host_edge_is_never_built(monkeypatch)
     assert len(built) == result.steps
     assert all(all(map(g.contains, edges)) for edges in built)
     assert any(not all(map(g.contains, edges)) for edges in drawn)
+
+
+def test_a_k12_step_scores_its_one_splitting_from_one_stream(monkeypatch):
+    # A K12 anchor has C(6 - 4, 2) = 1 splitting: each step draws it once,
+    # from its window's one stream, scores it and builds it.
+    keys = []
+    real_stream = sampler.stream
+    monkeypatch.setattr(sampler, "stream", lambda *key: keys.append(key) or real_stream(*key))
+    g, chi, params = rejecting_search_inputs()
+    result = find_rainbow_hamilton_cycle(g, chi, params, seed=3, max_steps=12)
+    entries = switch_entries(result)
+    assert len(entries) == result.steps == 12
+    assert all((entry["trial"], entry["scored"]) == (0, 1) for entry in entries)
+    drawn = [key for key in keys if key[1] in ("splitting-window", "edge-sample")]
+    assert drawn == [(child_seed(3, "search-step", s), "splitting-window") for s in range(12)]
+
+
+def test_each_switch_entry_counts_the_window_its_step_scored():
+    # K48's anchors have C(24 - 4, 2) = 190 splittings, all on the complete
+    # host, so every step scores a full window before it builds.
+    g = Hypergraph.complete(48, 3)
+    chi = Colouring(g, [sum(e) % 26 for e in g.edges])
+    result = find_rainbow_hamilton_cycle(g, chi, replace(desk_params(), mu=0.2), seed=0)
+    entries = switch_entries(result)
+    assert result.success and len(entries) > 1
+    assert all(entry["scored"] == search.WINDOW for entry in entries)
+
+
+def test_when_the_lowest_draw_does_not_build_the_step_builds_the_next_lowest(monkeypatch):
+    steps = {}  # step seed -> (cycle, anchor, config, the draws it tried)
+    real_draws = search._draws_to_build
+
+    def recording(g, chi, cycle, anchor, params, config, held):
+        tried = steps.setdefault(config.seed, (cycle, anchor, config, []))[3]
+        for draw in real_draws(g, chi, cycle, anchor, params, config, held):
+            tried.append(draw)
+            yield draw
+
+    def refusing_the_first(g, chi, sample, params, config, trial):
+        if len(steps[config.seed][3]) == 1:
+            return None
+        return build_switching(g, chi, sample, params, config, trial)
+
+    monkeypatch.setattr(search, "_draws_to_build", recording)
+    monkeypatch.setattr(search, "build_switching", refusing_the_first)
+    g, chi, params = n24_search_inputs()
+    result = find_rainbow_hamilton_cycle(g, chi, params, seed=6)
+    entries = switch_entries(result)
+    assert len(entries) == len(steps) > 0
+    for entry in entries:
+        cycle, anchor, config, tried = steps[child_seed(6, "search-step", entry["step"])]
+        # Build every draw of the window and count its conflicts.
+        window = islice(distinct_exact_splittings(cycle, anchor, 3, 1, config.seed),
+                        search.WINDOW)
+        ranked = sorted(
+            (len(find_conflicts(
+                build_switching(g, chi, sample, params, config, trial).switching.new_cycle,
+                chi, 1)), trial)
+            for trial, sample in window
+        )
+        assert [draw[0] for draw in tried] == [trial for _, trial in ranked[:2]]
+        assert (entry["after"], entry["trial"]) == ranked[1]
+        assert entry["scored"] == search.WINDOW
+
+
+def test_a_negative_step_budget_is_refused_and_zero_checks_the_start_cycle():
+    g = Hypergraph.complete(12, 3)
+    chi = Colouring(g, [i % 8 for i in range(len(g.edges))])
+    with pytest.raises(InvalidInput, match=r"^max_steps must be >= 0, got -5$"):
+        find_rainbow_hamilton_cycle(g, chi, desk_params(), seed=2, max_steps=-5)
+    result = find_rainbow_hamilton_cycle(g, chi, desk_params(), seed=2, max_steps=0)
+    start = uniform_random_hamilton_cycle(g, child_seed(2, "search-start"))
+    assert (result.success, result.steps, result.restarts) == (False, 0, 0)
+    assert result.cycle == start and result.log.steps == []
+    assert result.conflicts == len(find_conflicts(start, chi, 1)) > 0
+    assert find_rainbow_hamilton_cycle(g, Colouring.injective(g), desk_params(), seed=2,
+                                       max_steps=0).success
 
 
 def assert_found_on_k48_sum_mod(q):
